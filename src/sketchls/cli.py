@@ -10,25 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
 from . import harness
 from .core import make_report, solve_ols
 from .exceptions import SketchLSError
-from .rpc import RpcParams, solve_rpc_sketched
-from .sketch import KINDS, SketchSpec, make_sketch
-from .solvers import (
-    SketchedProblem,
-    default_mu,
-    solve_blendenpik,
-    solve_cls,
-    solve_pcls,
-    solve_ridge_cls,
-    solve_ridge_pcls,
-    solve_robust_cls,
-)
+from .sketch import KINDS
 
 
 def _add_generate(sub):
@@ -90,39 +78,9 @@ def cmd_solve(args) -> int:
     b_policy = "file" if args.b_file else "last"
     problem = harness.load_csv(args.data, b_policy=b_policy, b_path=args.b_file)
     x_ls = solve_ols(problem, "factorized")
-    method = args.method
-    timings = {}
-
-    start = time.perf_counter()
-    if method in harness.UNSKETCHED:
-        x = solve_ols(problem, "factorized" if method == "ols" else "normal-equations")
-        timings["solve"] = time.perf_counter() - start
-    else:
-        m = args.m if args.m is not None else min(10 * problem.N, problem.M)
-        spec = SketchSpec(kind=args.sketch, m=m, M=problem.M, seed=args.seed)
-        op = make_sketch(spec)
-        sp = SketchedProblem.from_problem(problem, op)
-        timings["sketch"] = time.perf_counter() - start
-        start = time.perf_counter()
-        if method == "cls":
-            x = solve_cls(sp)
-        elif method == "pcls":
-            x = solve_pcls(sp)
-        elif method in ("ridge-cls", "ridge-pcls"):
-            mu = default_mu(sp) if args.mu == "auto" else float(args.mu)
-            x = solve_ridge_cls(sp, mu) if method == "ridge-cls" else solve_ridge_pcls(sp, mu)
-        elif method == "robust-cls":
-            x = solve_robust_cls(sp, rho=args.rho)
-        elif method == "rpc":
-            sol = solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), RpcParams(rho=args.rho))
-            x = sol.x
-        elif method == "blendenpik":
-            x = solve_blendenpik(problem, op, lsqr_tol=args.lsqr_tol)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(method)
-        timings["solve"] = time.perf_counter() - start
-
-    report = make_report(problem, x_ls, x, method, timings)
+    m = args.m if args.m is not None else min(10 * problem.N, problem.M)
+    x, timings = harness._run_pipeline(problem, args, args.method, args.sketch, m, args.seed)
+    report = make_report(problem, x_ls, x, args.method, timings)
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
     if args.json_out:

@@ -7,10 +7,11 @@ matrices, and the metrics every solver is judged by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular, svdvals
 
 from .exceptions import (
     DegenerateInstanceError,
@@ -44,12 +45,14 @@ class LSProblem:
 
     ``A`` is M x N with M >= N >= 1 and full column rank; construction
     rejects matrices whose smallest singular value falls below
-    ``RANK_REL_TOL`` times the largest.
+    ``RANK_REL_TOL`` times the largest. Construction computes the R factor
+    of a Householder QR of ``[A b]``, which the exact solve, the condition
+    number and every accuracy metric reuse, so ``A`` and ``b`` must not be
+    mutated after construction.
     """
 
     A: np.ndarray
     b: np.ndarray
-    _svals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = _as_matrix(self.A)
@@ -59,13 +62,30 @@ class LSProblem:
         self.b = _as_vector(self.b, length=M, name="b")
         if not np.all(np.isfinite(self.A)) or not np.all(np.isfinite(self.b)):
             raise ValueError("problem data must be finite")
-        svals = np.linalg.svd(self.A, compute_uv=False)
+        self._r_aug  # the rank gate
+
+    @cached_property
+    def _r_aug(self) -> np.ndarray:
+        """R of a Householder QR of ``[A b]``: (N+1) x (N+1), or N x (N+1)
+        when M == N. Its leading N x N block has the singular values of A,
+        and ``||A x - b|| = ||R_aug [x; -1]||``."""
+        M, N = self.A.shape
+        buf = np.empty((M, N + 1), order="F")  # LAPACK factors it in place
+        buf[:, :N] = self.A
+        buf[:, N] = self.b
+        # "raw" keeps R to its top N+1 rows; "r" would copy a full M-row triu
+        _, r_aug = qr(buf, mode="raw", overwrite_a=True, check_finite=False)
+        svals = svdvals(r_aug[:N, :N], check_finite=False)
         if svals[-1] <= RANK_REL_TOL * svals[0]:
             raise RankDeficientError(
                 f"A is numerically rank deficient "
                 f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
             )
-        self._svals = svals
+        return r_aug
+
+    def _residual_norm(self, x) -> float:
+        """``||A x - b||`` from the factor, without a pass over A."""
+        return float(np.linalg.norm(self._r_aug @ np.append(np.asarray(x, dtype=float), -1.0)))
 
     @property
     def shape(self):
@@ -80,7 +100,8 @@ class LSProblem:
         return self.A.shape[1]
 
     def condition_number(self) -> float:
-        return float(self._svals[0] / self._svals[-1])
+        svals = svdvals(self._r_aug[: self.N, : self.N], check_finite=False)
+        return float(svals[0] / svals[-1])
 
 
 @dataclass(eq=False)
@@ -146,16 +167,15 @@ class SolverReport:
 def solve_ols(problem: LSProblem, method: str = "factorized") -> np.ndarray:
     """Solve the uncompressed problem ``min 0.5 ||Ax - b||^2``.
 
-    ``method="factorized"`` uses an orthogonal (SVD-based) factorization;
-    ``method="normal-equations"`` forms ``A^T A`` and solves the SPD system,
-    which is faster but condition-sensitive.
+    ``method="factorized"`` back-substitutes on the instance's QR factor of
+    ``[A b]``; ``method="normal-equations"`` forms ``A^T A`` and solves the
+    SPD system, which is faster but condition-sensitive.
     """
     A, b = problem.A, problem.b
     if method == "factorized":
-        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=RANK_REL_TOL)
-        if rank < problem.N:
-            raise RankDeficientError(f"factorization detected rank {rank} < {problem.N}")
-        return x
+        N = problem.N
+        r_aug = problem._r_aug
+        return solve_triangular(r_aug[:N, :N], r_aug[:N, N], check_finite=False)
     if method == "normal-equations":
         gram = A.T @ A
         try:
@@ -167,13 +187,15 @@ def solve_ols(problem: LSProblem, method: str = "factorized") -> np.ndarray:
 
 
 def eps_optimality(xhat, problem: LSProblem, x_ls) -> float:
-    """Prediction-error ratio ``||A (xhat - x_ls)|| / ||A x_ls||``."""
+    """Prediction-error ratio ``||A (xhat - x_ls)|| / ||A x_ls||``, computed
+    as ``||R (xhat - x_ls)|| / ||R x_ls||`` with R from the instance's QR."""
     xhat = _as_vector(xhat, length=problem.N, name="xhat")
     x_ls = _as_vector(x_ls, length=problem.N, name="x_ls")
-    denom = float(np.linalg.norm(problem.A @ x_ls))
+    R = problem._r_aug[: problem.N, : problem.N]
+    denom = float(np.linalg.norm(R @ x_ls))
     if denom == 0.0:
         raise DegenerateInstanceError("||A x_ls|| is zero; ratio undefined")
-    return float(np.linalg.norm(problem.A @ (xhat - x_ls))) / denom
+    return float(np.linalg.norm(R @ (xhat - x_ls))) / denom
 
 
 def relative_residual_profile(residuals):
@@ -204,8 +226,8 @@ def profile_quantile(profile, fraction: float) -> float:
 
 def make_report(problem: LSProblem, x_ls, xhat, method: str, timings=None) -> SolverReport:
     """Score ``xhat`` against the reference solution ``x_ls``."""
-    residual = float(np.linalg.norm(problem.A @ np.asarray(xhat, dtype=float) - problem.b))
-    residual_ls = float(np.linalg.norm(problem.A @ np.asarray(x_ls, dtype=float) - problem.b))
+    residual = problem._residual_norm(xhat)
+    residual_ls = problem._residual_norm(x_ls)
     if residual_ls > 0:
         rel_acc = residual / residual_ls - 1.0
     else:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     LSProblem,
@@ -29,25 +28,61 @@ from .sketch import KINDS, SketchSpec, make_sketch
 from .solvers import (
     GramSolver,
     SketchedProblem,
+    _converged_lsqr,
     blendenpik_preconditioner,
     default_mu,
-    preconditioned_lsqr,
     solve_robust_cls,
 )
 
 COHERENCE_CLASSES = ("incoherent", "semi-coherent", "coherent")
-METHODS = (
-    "ols",
-    "ols-normal",
-    "cls",
-    "ridge-cls",
-    "robust-cls",
-    "pcls",
-    "ridge-pcls",
-    "rpc",
-    "blendenpik",
-)
-UNSKETCHED = ("ols", "ols-normal")
+
+
+def _gram(problem, sp, opts):
+    return GramSolver(sp.P)
+
+
+def _ridge_gram(problem, sp, opts):
+    mu = default_mu(sp) if opts.mu == "auto" else float(opts.mu)
+    return GramSolver(sp.P, mu)
+
+
+def _spectral(problem, sp, opts):
+    return sp.spectral
+
+
+def _full_rhs(problem, sp, opts, gram):
+    return gram.solve(sp.P.T @ sp.q)
+
+
+def _partial_rhs(problem, sp, opts, gram):
+    return gram.solve(sp.c)
+
+
+def _rpc(problem, sp, opts, _):
+    return solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), RpcParams(rho=opts.rho)).x
+
+
+# Every method in run order, as (needs a sketch, factor step, solve step).
+# A step gets the problem, its SketchedProblem (None when unsketched) and an
+# options object with ``rho``, ``mu`` and ``lsqr_tol``; the solve step also
+# gets what the factor step returned and returns x.
+_METHOD_TABLE = {
+    "ols": (False, None, lambda p, sp, o, _: solve_ols(p, "factorized")),
+    "ols-normal": (False, None, lambda p, sp, o, _: solve_ols(p, "normal-equations")),
+    "cls": (True, _gram, _full_rhs),
+    "ridge-cls": (True, _ridge_gram, _full_rhs),
+    "robust-cls": (True, _spectral, lambda p, sp, o, _: solve_robust_cls(sp, rho=o.rho)),
+    "pcls": (True, _gram, _partial_rhs),
+    "ridge-pcls": (True, _ridge_gram, _partial_rhs),
+    "rpc": (True, _spectral, _rpc),
+    "blendenpik": (
+        True,
+        lambda p, sp, o: blendenpik_preconditioner(sp.P),
+        lambda p, sp, o, R: _converged_lsqr(p.A, p.b, R, o.lsqr_tol),
+    ),
+}
+METHODS = tuple(_METHOD_TABLE)
+UNSKETCHED = tuple(name for name, (sketched, _, _) in _METHOD_TABLE.items() if not sketched)
 
 _PROBLEM_STREAM = 101  # spawn key for the synthetic-problem generator
 
@@ -340,82 +375,30 @@ def _cell_seed(root_seed, kind, m, trial) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _resolve_mu(config, sp):
-    if config.mu == "auto":
-        return default_mu(sp)
-    return float(config.mu)
+def _run_pipeline(problem, opts, method, kind, m, sketch_seed):
+    """Run ``method``'s table steps on one cell; returns (x, phase timings).
 
-
-def _run_pipeline(problem, config, method, kind, m, sketch_seed):
-    """One (method, sketch, m, trial) cell; returns (x, phase timings)."""
-    A, b = problem.A, problem.b
+    ``opts`` is an :class:`ExperimentConfig` or the CLI's parsed arguments.
+    The ``sketch`` phase realizes Phi and forms the SketchedProblem,
+    ``A^T b`` included.
+    """
+    sketched, factor, solve = _METHOD_TABLE[method]
     timings = {"sketch": 0.0, "factor": 0.0, "solve": 0.0}
 
-    def phase(name, fn):
+    def phase(name, fn, *args):
         start = time.perf_counter()
-        out = fn()
-        timings[name] += time.perf_counter() - start
+        out = fn(*args)
+        timings[name] = time.perf_counter() - start
         return out
 
-    if method == "ols":
-        x = phase("solve", lambda: solve_ols(problem, "factorized"))
-        return x, timings
-    if method == "ols-normal":
-        factor = phase("factor", lambda: cho_factor(A.T @ A))
-        x = phase("solve", lambda: cho_solve(factor, A.T @ b))
-        return x, timings
-
-    spec = SketchSpec(kind=kind, m=m, M=problem.M, seed=sketch_seed)
-
-    def make_sketched():
-        op = make_sketch(spec)
-        return op, op.apply(A), op.apply(b)
-
-    op, P, q = phase("sketch", make_sketched)
-
-    def sketched_problem():
-        return SketchedProblem(P=P, q=q, c=A.T @ b)
-
-    if method in ("cls", "pcls"):
-        solver = phase("factor", lambda: GramSolver(P))
-        rhs = phase("solve", lambda: P.T @ q if method == "cls" else A.T @ b)
-        x = phase("solve", lambda: solver.solve(rhs))
-        return x, timings
-
-    if method in ("ridge-cls", "ridge-pcls"):
-        sp = sketched_problem()
-        if config.mu == "auto":
-            phase("factor", lambda: sp.spectral)  # eigenvalue data for the default weight
-        mu = _resolve_mu(config, sp)
-        solver = phase("factor", lambda: GramSolver(P, mu))
-        rhs = P.T @ q if method == "ridge-cls" else sp.c
-        x = phase("solve", lambda: solver.solve(rhs))
-        return x, timings
-
-    if method == "robust-cls":
-        sp = sketched_problem()
-        phase("factor", lambda: sp.spectral)
-        x = phase("solve", lambda: solve_robust_cls(sp, rho=config.rho))
-        return x, timings
-
-    if method == "rpc":
-        sp = sketched_problem()
-        phase("factor", lambda: sp.spectral)
-        params = RpcParams(rho=config.rho)
-        x = phase("solve", lambda: solve_rpc_sketched(sp, float(np.linalg.norm(b)), params).x)
-        return x, timings
-
-    if method == "blendenpik":
-        R = phase("factor", lambda: blendenpik_preconditioner(P))
-        def run_lsqr():
-            x, _, converged = preconditioned_lsqr(A, b, R=R, tol=config.lsqr_tol)
-            if not converged:
-                raise RuntimeError("preconditioned LSQR did not converge")
-            return x
-        x = phase("solve", run_lsqr)
-        return x, timings
-
-    raise ValueError(f"unknown method {method!r}")
+    sp = state = None
+    if sketched:
+        spec = SketchSpec(kind=kind, m=m, M=problem.M, seed=sketch_seed)
+        sp = phase("sketch", lambda: SketchedProblem.from_problem(problem, make_sketch(spec)))
+    if factor is not None:
+        state = phase("factor", factor, problem, sp, opts)
+    x = phase("solve", solve, problem, sp, opts, state)
+    return x, timings
 
 
 def run_experiment(config: ExperimentConfig, out_path=None):
@@ -428,7 +411,7 @@ def run_experiment(config: ExperimentConfig, out_path=None):
     problem = _build_problem(config)
     config.validate_grid(problem)
     x_ls = solve_ols(problem, "factorized")
-    residual_ls = float(np.linalg.norm(problem.A @ x_ls - problem.b))
+    residual_ls = problem._residual_norm(x_ls)
     chash = config.config_hash()
 
     sink = open(out_path, "a", encoding="utf-8") if out_path else None
@@ -468,7 +451,7 @@ def _run_cell(problem, config, x_ls, residual_ls, chash, method, kind, m, trial,
                 best = timings
             else:
                 best = {k: min(best[k], timings[k]) for k in best}
-        residual = float(np.linalg.norm(problem.A @ x - problem.b))
+        residual = problem._residual_norm(x)
         rel_acc = residual / residual_ls - 1.0 if residual_ls > 0 else 0.0
         return TrialRecord(
             config_hash=chash, method=method, sketch=kind, m=m, trial=trial, seed=seed,
@@ -546,6 +529,9 @@ def emit_timing_breakdown(records, out_path=None):
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write("method,sketch_time,factor_time,solve_time,total\n")
-            for method, s, f, so, total in rows:
-                handle.write(f"{method},{s:.9f},{f:.9f},{so:.9f},{total:.9f}\n")
+            for method, *phases, _ in rows:
+                parts = [f"{t:.9f}" for t in phases]
+                # the written total is the sum of the written (rounded) parts
+                total = sum(float(part) for part in parts)
+                handle.write(",".join([method, *parts, f"{total:.9f}"]) + "\n")
     return rows

@@ -28,7 +28,7 @@ from .exceptions import (
     SecularNoRootError,
 )
 from .sketch import SketchOperator
-from .solvers import SketchedProblem, solve_pcls, solve_ridge_pcls
+from .solvers import SketchedProblem, _increasing_root, solve_pcls, solve_ridge_pcls
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,14 @@ def secular_phi(spectral: SpectralData, rhs_coeffs, rho: float, tau: float, gamm
     if tau <= 0 or rho <= 0 or gamma < 0:
         raise ValueError("need tau > 0, rho > 0 and gamma >= 0")
     bb = np.asarray(rhs_coeffs, dtype=float)
-    d = spectral.sigma**2
+    return _secular(spectral.sigma**2, bb**2, rho, tau, gamma)
+
+
+def _secular(d, bb2, rho, tau, gamma):
+    """Value and slope of ``sum bb2 / (gamma d + rho)^2 / tau^2 - 1``."""
     den = gamma * d + rho
-    value = float(np.sum(bb**2 / den**2)) / tau**2 - 1.0
-    derivative = -2.0 * float(np.sum(d * bb**2 / den**3)) / tau**2
+    value = float(np.sum(bb2 / den**2)) / tau**2 - 1.0
+    derivative = -2.0 * float(np.sum(d * bb2 / den**3)) / tau**2
     return value, derivative
 
 
@@ -177,38 +181,21 @@ def _gamma_root(sigma, rhs_coeffs, rho, tau, newton_tol, max_newton, zero_mask):
     if tail >= 0:
         raise SecularNoRootError("secular function positive for all gamma", direction="increase")
 
-    def phi(g):
-        den = g * d + rho
-        val = float(np.sum(bb2 / den**2)) / tau**2 - 1.0
-        der = -2.0 * float(np.sum(d * bb2 / den**3)) / tau**2
-        return val, der
+    def neg_phi(gamma):
+        value, derivative = _secular(d, bb2, rho, tau, gamma)
+        return -value, -derivative, 1.0
 
-    iters = 0
-    hi = 1.0
-    for _ in range(400):
-        if phi(hi)[0] < 0:
-            break
-        hi *= 2.0
-    else:
-        raise SecularNoRootError("secular root beyond bracketing range", direction="increase")
-
-    lo = 0.0
-    g = 0.5 * hi
-    for _ in range(max_newton):
-        iters += 1
-        val, der = phi(g)
-        if abs(val) <= newton_tol:
-            return g, iters
-        if val > 0:
-            lo = g
-        else:
-            hi = g
-        step = g - val / der if der < 0 else 0.5 * (lo + hi)
-        g = step if lo < step < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"secular Newton did not converge in {max_newton} iterations",
-        diagnostics={"tau": tau, "gamma": g, "phi": val},
-    )
+    try:
+        return _increasing_root(neg_phi, 1.0, newton_tol, max_newton)
+    except ConvergenceError as exc:
+        if not exc.diagnostics["bracketed"]:
+            raise SecularNoRootError(
+                "secular root beyond bracketing range", direction="increase"
+            ) from exc
+        raise ConvergenceError(
+            f"secular {exc}",
+            diagnostics={"tau": tau, "gamma": exc.last_iterate, "phi": -exc.diagnostics["value"]},
+        ) from exc
 
 
 def newton_gamma(

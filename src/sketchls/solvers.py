@@ -179,36 +179,56 @@ def solve_robust_cls(
 
     def g_val(mu):
         r, s, dr_sq, dx_sq = curves(mu)
-        g = mu * s - rho * r
         dg = s + mu * dx_sq / (2.0 * s) - rho * dr_sq / (2.0 * r)
-        return g, dg, r, s
+        return mu * s - rho * r, dg, mu * s + rho * r
 
-    lo, g_lo = 0.0, -rho * r0
-    hi = rho * max(1.0, float(np.linalg.norm(sp.q)))
-    for _ in range(300):
-        g_hi = g_val(hi)[0]
-        if g_hi > 0:
+    try:
+        mu, _ = _increasing_root(
+            g_val, rho * max(1.0, float(np.linalg.norm(sp.q))), secular_tol, max_iter
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"secular iteration: {exc}",
+            last_iterate=x_of(exc.last_iterate),
+            diagnostics={"mu": exc.last_iterate, "gap": exc.diagnostics.get("value")},
+        ) from exc
+    return x_of(mu)
+
+
+def _increasing_root(f, hi, tol, max_iter):
+    """Root of an increasing scalar function on [0, inf) with ``f(0) < 0``.
+
+    ``f(t)`` returns ``(value, slope, scale)``. ``hi`` doubles until
+    ``f(hi) > 0``; then Newton steps, replaced by bisection whenever one
+    leaves the bracket, run until ``|value| <= tol * scale``. Returns
+    ``(root, newton_iterations)``. Raises :class:`ConvergenceError` with the
+    last point as ``last_iterate`` when either stage exhausts its budget;
+    ``diagnostics["bracketed"]`` says which.
+    """
+    lo = 0.0
+    for _ in range(400):
+        if f(hi)[0] > 0:
             break
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-    else:  # pragma: no cover - g(mu) -> infinity, so the loop always exits
-        raise ConvergenceError("failed to bracket the secular root", last_iterate=x_of(hi))
-
-    mu = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        g, dg, r, s = g_val(mu)
-        if abs(g) <= secular_tol * (mu * s + rho * r):
-            return x_of(mu)
-        if g > 0:
-            hi = mu
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise ConvergenceError(
+            "root beyond bracketing range", last_iterate=hi, diagnostics={"bracketed": False}
+        )
+    t = 0.5 * (lo + hi)
+    for k in range(1, max_iter + 1):
+        value, slope, scale = f(t)
+        if abs(value) <= tol * scale:
+            return t, k
+        if value > 0:
+            hi = t
         else:
-            lo = mu
-        step = mu - g / dg if dg > 0 else 0.5 * (lo + hi)
-        mu = step if lo < step < hi else 0.5 * (lo + hi)
+            lo = t
+        step = t - value / slope if slope > 0 else 0.5 * (lo + hi)
+        t = step if lo < step < hi else 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"secular iteration did not reach tolerance in {max_iter} steps",
-        last_iterate=x_of(mu),
-        diagnostics={"mu": mu, "gap": g},
+        f"Newton did not reach tolerance in {max_iter} steps",
+        last_iterate=t,
+        diagnostics={"bracketed": True, "value": value},
     )
 
 
@@ -305,14 +325,17 @@ def solve_blendenpik(
     max_iter: int = 500,
 ) -> np.ndarray:
     """Uncompressed solve via LSQR, right-preconditioned by R from QR(Phi A)."""
-    P = op.apply(problem.A)
-    R = blendenpik_preconditioner(P)
-    x, iters, converged = preconditioned_lsqr(
-        problem.A, problem.b, R=R, tol=lsqr_tol, max_iter=max_iter
-    )
+    R = blendenpik_preconditioner(op.apply(problem.A))
+    return _converged_lsqr(problem.A, problem.b, R, lsqr_tol, max_iter)
+
+
+def _converged_lsqr(A, b, R, tol, max_iter=500):
+    """:func:`preconditioned_lsqr` that raises :class:`ConvergenceError`,
+    carrying the best iterate, instead of returning an unconverged x."""
+    x, iters, converged = preconditioned_lsqr(A, b, R=R, tol=tol, max_iter=max_iter)
     if not converged:
         raise ConvergenceError(
-            f"LSQR did not reach tolerance {lsqr_tol:g} in {max_iter} iterations",
+            f"LSQR did not reach tolerance {tol:g} in {max_iter} iterations",
             last_iterate=x,
             diagnostics={"iterations": iters},
         )

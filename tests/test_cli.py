@@ -37,8 +37,8 @@ class TestSolve:
                  "--seed", "1", "--out", str(out)], capsys)
         return out
 
-    @pytest.mark.parametrize("method", ["ols", "cls", "pcls", "ridge-pcls", "robust-cls",
-                                        "rpc", "blendenpik"])
+    @pytest.mark.parametrize("method", ["ols", "ols-normal", "cls", "pcls", "ridge-cls",
+                                        "ridge-pcls", "robust-cls", "rpc", "blendenpik"])
     def test_each_method_reports(self, instance, capsys, method):
         code, stdout, _ = run_cli(
             ["solve", "--data", str(instance), "--method", method,
@@ -48,6 +48,7 @@ class TestSolve:
         assert report["method"] == method
         assert report["relative_accuracy"] >= -1e-10
         assert report["eps_optimality"] >= 0.0
+        assert set(report["timings"]) == {"sketch", "factor", "solve"}
 
     def test_report_written_to_file(self, instance, tmp_path, capsys):
         dest = tmp_path / "report.json"

@@ -189,3 +189,28 @@ class TestReport:
         report = make_report(problem, x_ls, x_ls + 0.1, "pcls")
         assert report.relative_accuracy > 0
         assert report.eps_optimality > 0
+
+
+class TestOneFactor:
+    """Every exact quantity comes from the QR factor of [A b]; check each
+    against its direct formula on A."""
+
+    @pytest.mark.parametrize("M, N, consistent", [
+        (60, 7, False), (200, 12, False), (9, 9, False), (9, 9, True), (50, 6, True),
+    ])
+    def test_matches_direct_formulas(self, M, N, consistent):
+        rng = np.random.default_rng(M * N + consistent)
+        A = rng.standard_normal((M, N))
+        b = A @ rng.standard_normal(N) if consistent else rng.standard_normal(M)
+        problem = LSProblem(A=A, b=b)
+
+        x_ls = solve_ols(problem)
+        x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.linalg.norm(x_ls - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert problem.condition_number() == pytest.approx(np.linalg.cond(A), rel=1e-10)
+
+        xhat = x_ls + 0.01 * rng.standard_normal(N)
+        eps = np.linalg.norm(A @ (xhat - x_ls)) / np.linalg.norm(A @ x_ls)
+        assert eps_optimality(xhat, problem, x_ls) == pytest.approx(eps, rel=1e-10)
+        report = make_report(problem, x_ls, xhat, "pcls")
+        assert report.residual_norm == pytest.approx(np.linalg.norm(A @ xhat - b), rel=1e-10)

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -246,6 +247,11 @@ class TestRunExperiment:
         succeeded = [r for r in records if not r.failed]
         assert all(r.relative_accuracy is not None for r in succeeded)
 
+    def test_lsqr_failure_is_typed(self):
+        records = run_experiment(quick_config(methods=("blendenpik",), lsqr_tol=1e-30, trials=1))
+        assert len(records) == 1
+        assert records[0].error.startswith("ConvergenceError")
+
     def test_relative_accuracy_nonnegative(self):
         cfg = quick_config(methods=("cls", "pcls", "rpc", "blendenpik"), trials=2)
         for rec in run_experiment(cfg):
@@ -290,6 +296,18 @@ class TestEmitters:
         assert total == pytest.approx(1.0)
         header = (tmp_path / "t.csv").read_text().splitlines()[0]
         assert header == "method,sketch_time,factor_time,solve_time,total"
+
+    def test_timing_csv_total_is_sum_of_written_parts(self, tmp_path):
+        # each part rounds down and the unrounded total rounds up
+        rec = TrialRecord(
+            config_hash="h", method="pcls", sketch="ros", m=10, trial=0, seed=0,
+            relative_accuracy=0.0, eps_optimality=0.0,
+            timings={"sketch": 0.0001987474, "factor": 0.0000734314, "solve": 0.0000228004},
+        )
+        emit_timing_breakdown([rec], out_path=tmp_path / "t.csv")
+        row = (tmp_path / "t.csv").read_text().splitlines()[1]
+        s, f, so, total = (Decimal(v) for v in row.split(",")[1:])
+        assert total == s + f + so
 
     def test_record_json_round_trip(self):
         rec = self.make_records()[0]
