@@ -5,12 +5,13 @@ over Frobenius-bounded perturbations ``||dP||_F <= rho`` of the sketched
 matrix, which collapses to the convex scalar-structured objective
 ``0.5 (||P x|| + rho ||x||)^2 - c^T x``.
 
-The solver runs a one-dimensional dual search: for a trial dual value tau a
-monotone secular equation is solved for gamma by safeguarded Newton, the
-dual value is updated from the resulting normalized solution, and an
-Illinois-type bracket keeps the outer iteration globally convergent (the
-bare multiplicative update can cycle). Rank-deficient sketched matrices are
-supported, including the corner where the optimum annihilates ``P x``.
+At the optimum ``x`` is a ridge solution ``(gamma P^T P + rho I)^{-1} c`` up
+to scale, with ``gamma = ||x|| / ||P x||``. In the right singular basis of
+P the two norm identities of the optimum combine into one monotone scalar
+equation in gamma, solved by the shared safeguarded Newton root finder;
+the dual value ``tau = ||P x|| + rho ||x||`` and x then follow in closed
+form. Rank-deficient sketched matrices are supported, including the corner
+where the optimum annihilates ``P x``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from .solvers import SketchedProblem, _increasing_root, solve_pcls, solve_ridge_
 
 @dataclass(frozen=True)
 class RpcParams:
-    """Tolerances and iteration caps for the robust partially-compressed solver."""
+    """Tolerances and iteration caps for the robust partially-compressed solver.
+
+    ``eps`` bounds the gap ``|gamma ||P x|| / ||x|| - 1|`` checked after the
+    scalar solve that ``newton_tol`` and ``max_newton`` drive; ``max_outer``
+    is validated but no longer read, as the solver has no outer iteration.
+    """
 
     rho: float = 1.0
     eps: float = 1e-10
@@ -57,6 +63,8 @@ class RpcSolution:
     ``alpha`` and ``beta`` are the norms of ``P x`` and ``x``; at
     convergence ``tau = alpha + rho * beta`` and ``gamma = beta / alpha``
     (``gamma`` is infinite in the rank-deficient corner where ``P x = 0``).
+    ``outer_iters`` is 1 for a scalar solve and 0 for the closed-form exits;
+    ``newton_iters_total`` counts the Newton steps of that solve.
     """
 
     x: np.ndarray
@@ -128,7 +136,8 @@ def rpc_objective_gradient(sp: SketchedProblem, x, rho: float) -> np.ndarray:
 
 def dual_inner_objective(sp: SketchedProblem, x, rho: float, tau: float) -> float:
     """Inner dual objective ``tau (||P x|| + rho ||x||) - c^T x`` (positively
-    homogeneous in x)."""
+    homogeneous in x) of the per-tau dual formulation, which is no longer
+    on the path of :func:`solve_rpc_sketched`."""
     x = _as_vector(x, length=sp.N, name="x")
     gauge = float(np.linalg.norm(sp.P @ x)) + rho * float(np.linalg.norm(x))
     return tau * gauge - float(sp.c @ x)
@@ -147,7 +156,9 @@ def secular_phi(spectral: SpectralData, rhs_coeffs, rho: float, tau: float, gamm
 
     ``rhs_coeffs`` are the coordinates of ``A^T b`` in the right singular
     basis of P. The function is strictly decreasing in gamma whenever some
-    coefficient sits on a positive singular value.
+    coefficient sits on a positive singular value. It is the per-tau
+    equation of the dual formulation (see :func:`newton_gamma`), not on the
+    path of :func:`solve_rpc_sketched`.
     """
     if tau <= 0 or rho <= 0 or gamma < 0:
         raise ValueError("need tau > 0, rho > 0 and gamma >= 0")
@@ -163,20 +174,31 @@ def _secular(d, bb2, rho, tau, gamma):
     return value, derivative
 
 
-def _gamma_root(sigma, rhs_coeffs, rho, tau, newton_tol, max_newton, zero_mask):
-    """Root of the secular function, or a signal that tau must move.
+def newton_gamma(
+    spectral: SpectralData,
+    rhs_coeffs,
+    rho: float,
+    tau: float,
+    newton_tol: float = 1e-12,
+    max_newton: int = 100,
+) -> float:
+    """Safeguarded-Newton root of the secular function for fixed tau.
 
-    Returns ``(gamma, iterations)``. Raises :class:`SecularNoRootError` with
-    direction "decrease" when phi(0) < 0 and "increase" when phi stays
-    positive for every finite gamma (mass trapped on zero singular values).
+    This is the per-tau equation of the dual formulation of the estimator;
+    :func:`solve_rpc_sketched` eliminates tau and no longer goes through it.
+    Raises :class:`SecularNoRootError` with direction "decrease" when
+    phi(0) < 0 and "increase" when phi stays positive for every finite gamma
+    (mass trapped on zero singular values).
     """
-    bb2 = rhs_coeffs**2
+    sigma = spectral.sigma
+    zero_mask = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
+    bb2 = np.asarray(rhs_coeffs, dtype=float) ** 2
     d = sigma**2
     phi0 = float(np.sum(bb2)) / (rho * tau) ** 2 - 1.0
     if phi0 < 0:
         raise SecularNoRootError("no nonnegative secular root", direction="decrease")
     if phi0 <= newton_tol:
-        return 0.0, 0
+        return 0.0
     tail = float(np.sum(bb2[zero_mask])) / (rho * tau) ** 2 - 1.0
     if tail >= 0:
         raise SecularNoRootError("secular function positive for all gamma", direction="increase")
@@ -186,7 +208,7 @@ def _gamma_root(sigma, rhs_coeffs, rho, tau, newton_tol, max_newton, zero_mask):
         return -value, -derivative, 1.0
 
     try:
-        return _increasing_root(neg_phi, 1.0, newton_tol, max_newton)
+        gamma, _ = _increasing_root(neg_phi, 1.0, newton_tol, max_newton)
     except ConvergenceError as exc:
         if not exc.diagnostics["bracketed"]:
             raise SecularNoRootError(
@@ -196,22 +218,6 @@ def _gamma_root(sigma, rhs_coeffs, rho, tau, newton_tol, max_newton, zero_mask):
             f"secular {exc}",
             diagnostics={"tau": tau, "gamma": exc.last_iterate, "phi": -exc.diagnostics["value"]},
         ) from exc
-
-
-def newton_gamma(
-    spectral: SpectralData,
-    rhs_coeffs,
-    rho: float,
-    tau: float,
-    newton_tol: float = 1e-12,
-    max_newton: int = 100,
-) -> float:
-    """Safeguarded-Newton root of the secular function for fixed tau."""
-    sigma = spectral.sigma
-    zero_mask = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
-    gamma, _ = _gamma_root(
-        sigma, np.asarray(rhs_coeffs, dtype=float), rho, tau, newton_tol, max_newton, zero_mask
-    )
     return gamma
 
 
@@ -235,11 +241,13 @@ def _null_cone_coords(sigma, rhs_coeffs, rho, zero_mask):
 def solve_rpc_sketched(
     sp: SketchedProblem, b_norm: float, params: RpcParams | None = None
 ) -> RpcSolution:
-    """Dual-search solver operating directly on sketched data.
+    """Robust partially-compressed solver operating directly on sketched data.
 
-    ``b_norm`` is the Euclidean norm of the uncompressed right-hand side,
-    used only to initialize the dual value (``rho * ||b|| / 2``, clamped
-    into the region where the secular equation has a root).
+    Solves one monotone equation in gamma (see the module docstring) and
+    raises :class:`ConvergenceError`, with gamma and the normalization gap
+    in ``diagnostics``, when that solve fails or its gap exceeds
+    ``params.eps``. ``b_norm``, the norm of the uncompressed right-hand
+    side, is accepted for compatibility and no longer read.
     """
     params = params or RpcParams()
     rho = params.rho
@@ -285,85 +293,43 @@ def solve_rpc_sketched(
             outer_iters=0, newton_iters_total=0, foc_residual=foc, converged=True,
         )
 
-    # the secular equation has a nonnegative root only for tau <= ||bbar||/rho,
-    # so start inside that region (the printed initializer rho*||b||/2 can sit
-    # far outside it for extreme radii)
-    tau_max = float(np.linalg.norm(bbar)) / rho
-    tau = min(rho * b_norm / 2.0, 0.99 * tau_max)
-    if tau <= 0.0:
-        tau = 0.5 * tau_max
-    lo, hi = 0.0, math.inf
-    gap_lo = gap_hi = None
-    last_side = 0
-    newton_total = 0
-    outer = 0
-    best = None  # (|gap|, tau, gamma, y, snorm)
-    converged = False
+    # At the optimum tau = ||u|| = gamma ||sigma u|| with u = bbar / (gamma d + rho).
+    # Eliminating tau leaves h(gamma) = sum bbar^2 (1 - gamma^2 d) / (gamma d + rho)^2,
+    # which falls from ||bbar||^2 / rho^2 to a negative limit off the null
+    # corner; d is zero under the rank rule so that the limits agree exactly.
+    d = np.where(zero_mask, 0.0, sigma**2)
+    bb2 = bbar**2
 
-    for _ in range(params.max_outer):
-        outer += 1
-        try:
-            gamma, n_it = _gamma_root(
-                sigma, bbar, rho, tau, params.newton_tol, params.max_newton, zero_mask
-            )
-        except SecularNoRootError as sig:
-            if sig.direction == "decrease":
-                hi, gap_hi = min(hi, tau), None
-                tau = 0.5 * (lo + tau)
-            else:
-                lo, gap_lo = max(lo, tau), None
-                tau = 2.0 * tau if not math.isfinite(hi) else 0.5 * (tau + hi)
-            continue
-        newton_total += n_it
-        y = bbar / (tau * (gamma * sigma**2 + rho))
-        snorm = float(np.linalg.norm(sigma * y))
-        gap = snorm * gamma - 1.0
-        if best is None or abs(gap) < best[0]:
-            best = (abs(gap), tau, gamma, y, snorm)
-        if abs(gap) <= params.eps:
-            converged = True
-            break
-        # Illinois-safeguarded update: keep a sign bracket on the gap and
-        # scale the stale endpoint so the false-position step cannot stall.
-        if gap > 0:
-            lo, gap_lo = tau, gap
-            if last_side == 1 and gap_hi is not None:
-                gap_hi *= 0.5
-            last_side = 1
-        else:
-            hi, gap_hi = tau, gap
-            if last_side == -1 and gap_lo is not None:
-                gap_lo *= 0.5
-            last_side = -1
-        if math.isfinite(hi) and hi - lo <= 16 * np.finfo(float).eps * hi:
-            converged = True  # dual value pinned to machine precision
-            break
-        if gap_lo is not None and gap_hi is not None:
-            prop = lo - gap_lo * (hi - lo) / (gap_hi - gap_lo)
-            if not lo < prop < hi:
-                prop = 0.5 * (lo + hi)
-        else:
-            prop = tau * snorm * gamma  # multiplicative dual update
-            if not lo < prop < hi:
-                prop = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * tau
-        tau = prop
+    def neg_h(gamma):
+        den = gamma * d + rho
+        head, tail = bb2 / den**2, bb2 * d * (gamma / den) ** 2
+        slope = 2.0 * float(np.sum(bb2 * d * (gamma * rho + 1.0) / den**3))
+        return float(np.sum(tail - head)), slope, float(np.sum(head + tail))
 
-    if not converged or best is None:
-        raise ConvergenceError(
-            f"dual search did not converge in {params.max_outer} iterations",
-            last_iterate=None if best is None else (best[1], best[2]),
-            diagnostics={"tau": tau, "bracket": (lo, hi), "outer_iters": outer},
+    try:
+        gamma, newton_total = _increasing_root(
+            neg_h, 1.0 / float(sigma[0]), params.newton_tol, params.max_newton
         )
+        failure = None
+    except ConvergenceError as exc:
+        gamma, failure = exc.last_iterate, exc
+    u = bbar / (gamma * d + rho)
+    tau = float(np.linalg.norm(u))
+    gap = gamma * float(np.linalg.norm(sigma * u)) / tau - 1.0
+    if failure is not None or not abs(gap) <= params.eps:
+        raise ConvergenceError(
+            f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
+            last_iterate=(tau, gamma),
+            diagnostics={"gamma": gamma, "gap": gap},
+        ) from failure
 
-    _, tau, gamma, y, snorm = best
-    y = y / float(np.linalg.norm(y))
     alpha = tau / (1.0 + rho * gamma)
-    beta = (tau - alpha) / rho
-    x = beta * (V @ y)
+    beta = gamma * alpha
+    x = (beta / tau) * (V @ u)
     foc = stationarity_residual(sp, x, rho)
     return RpcSolution(
         x=x, alpha=float(np.linalg.norm(sp.P @ x)), beta=float(np.linalg.norm(x)),
-        tau=tau, gamma=gamma, outer_iters=outer, newton_iters_total=newton_total,
+        tau=tau, gamma=gamma, outer_iters=1, newton_iters_total=newton_total,
         foc_residual=foc, converged=True,
     )
 
@@ -371,7 +337,7 @@ def solve_rpc_sketched(
 def solve_rpc(
     problem: LSProblem, op: SketchOperator, params: RpcParams | None = None
 ) -> RpcSolution:
-    """Sketch the problem with ``op`` and run the robust dual-search solver."""
+    """Sketch the problem with ``op`` and run :func:`solve_rpc_sketched`."""
     sp = SketchedProblem.from_problem(problem, op)
     return solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), params)
 
@@ -408,8 +374,8 @@ def rpc_oracle(sp: SketchedProblem, rho: float, tol: float = 1e-10, max_iter: in
 
     Damped fixed-point iteration on the data-dependent ridge structure of
     the optimum, initialized from the ridge solution with weight rho,
-    polished by a golden-section scale search. Independent of the dual
-    search in :func:`solve_rpc_sketched`.
+    polished by a golden-section scale search. Independent of the scalar
+    solve in :func:`solve_rpc_sketched`.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")

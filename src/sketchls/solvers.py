@@ -172,10 +172,13 @@ def solve_robust_cls(
         dx_sq = -2.0 * float(np.sum(w2 * d / den**3))
         return math.sqrt(r_sq), math.sqrt(1.0 + x_sq), dr_sq, dx_sq
 
-    r0, s0, _, _ = curves(0.0)
+    # at mu = 0 only the mass of w on zero singular values (rank rule of
+    # RANK_REL_TOL) is left in the residual, and x has no part there
+    zero = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
+    r0 = math.sqrt(float(np.sum(w2[zero])) + resid_perp_sq)
     if r0 <= 1e-15 * float(np.linalg.norm(sp.q)):
         # q lies in the range of P; the unregularized solution is stationary
-        return x_of(0.0)
+        return V @ np.divide(w, sigma, out=np.zeros_like(w), where=~zero)
 
     def g_val(mu):
         r, s, dr_sq, dx_sq = curves(mu)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import planted_problem, random_problem
 from sketchls import (
+    ConvergenceError,
     DegenerateInstanceError,
     LSProblem,
     RpcParams,
@@ -385,6 +386,18 @@ class TestSolveRpc:
             probe = sol.x + rng.standard_normal(4) * 0.1 * np.linalg.norm(sol.x)
             assert rpc_objective(sp, probe, rho) >= f_star - 1e-10
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_newton": 1}, {"newton_tol": 1e-3, "eps": 1e-14}]
+    )
+    def test_failed_solve_reports_gamma_and_gap(self, kwargs):
+        # out of Newton steps, or a root too loose for the gap check
+        sp = random_sketched(np.random.default_rng(26), 12, 4)
+        params = RpcParams(rho=1.0, **kwargs)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_rpc_sketched(sp, b_norm=1.0, params=params)
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["gamma"] > 0 and abs(diagnostics["gap"]) > params.eps
+
     def test_solution_serializes(self):
         sol = solve_rpc_sketched(DESK, b_norm=1.0, params=RpcParams(rho=1.0))
         data = sol.to_dict()
@@ -426,3 +439,25 @@ class TestOracle:
             f_dual = rpc_objective(sp, sol.x, rho)
             assert f_dual <= f_oracle + 1e-6 * (1 + abs(f_oracle))
             assert stationarity_residual(sp, x_oracle, rho) <= 1e-9 * np.linalg.norm(sp.c)
+
+    def test_seeded_sweep_with_zero_singular_values(self):
+        rng = np.random.default_rng(25)
+        for trial in range(40):
+            N = int(rng.integers(1, 9))
+            m = N + int(rng.integers(0, 6))
+            U, _, Vt = np.linalg.svd(rng.standard_normal((m, N)), full_matrices=False)
+            sigma = np.sort(rng.uniform(0.1, 3.0, N))[::-1]
+            if trial % 3 == 0:
+                sigma[N - int(rng.integers(1, N + 1)):] = 0.0
+            sp = SketchedProblem(P=(U * sigma) @ Vt, q=np.zeros(m), c=rng.standard_normal(N))
+            params = RpcParams(rho=float(rng.choice([1e-3, 1.0, 1e2])))
+            sol = solve_rpc_sketched(sp, b_norm=1.0, params=params)
+            assert sol.converged
+            assert sol.foc_residual <= 1e-8 * np.linalg.norm(sp.c)
+            if math.isinf(sol.gamma):
+                continue  # null corner: P x = 0, where the oracle cannot run
+            # normalization gap: gamma ||P x|| / ||x|| = 1
+            assert abs(sol.gamma * sol.alpha / sol.beta - 1.0) <= params.eps
+            _, f_oracle = rpc_oracle(sp, rho=params.rho)
+            f = rpc_objective(sp, sol.x, params.rho)
+            assert abs(f - f_oracle) <= 1e-6 * (1 + abs(f_oracle))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,6 +221,26 @@ class TestRobustCls:
         sp = SketchedProblem(P=np.eye(2), q=np.ones(2), c=np.ones(2))
         with pytest.raises(ValueError):
             solve_robust_cls(sp, -0.1)
+
+    @pytest.mark.parametrize("consistent", [False, True])
+    def test_rank_deficient_sketch(self, consistent):
+        # a zero column gives P a zero singular value, which the mu = 0
+        # evaluation must not divide by
+        rng = np.random.default_rng(16)
+        P = rng.standard_normal((10, 3))
+        P[:, 1] = 0.0
+        q = P @ rng.standard_normal(3) if consistent else rng.standard_normal(10)
+        sp = SketchedProblem(P=P, q=q, c=np.zeros(3))
+        rho = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_robust_cls(sp, rho)
+        assert np.all(np.isfinite(x))
+        f = robust_cls_objective(P, q, x, rho)
+        scale = 0.1 * max(1.0, float(np.linalg.norm(x)))
+        for _ in range(200):
+            probe = x + scale * rng.standard_normal(3)
+            assert robust_cls_objective(P, q, probe, rho) >= f - 1e-12 * (1 + abs(f))
 
 
 class TestBlendenpik:
