@@ -42,10 +42,12 @@ from .rpc import (
     RpcSolution,
     dual_inner_objective,
     newton_gamma,
+    robust_cls_objective,
     rpc_objective,
     rpc_objective_gradient,
     rpc_oracle,
     secular_phi,
+    solve_robust_cls,
     solve_rpc,
     solve_rpc_sketched,
     stationarity_residual,
@@ -67,13 +69,11 @@ from .solvers import (
     cls_error_decomposition,
     default_mu,
     preconditioned_lsqr,
-    robust_cls_objective,
     solve_blendenpik,
     solve_cls,
     solve_pcls,
     solve_ridge_cls,
     solve_ridge_pcls,
-    solve_robust_cls,
 )
 
 __version__ = "0.1.0"

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    LSProblem,
-    eps_optimality,
-    relative_residual_profile,
-    solve_ols,
-)
+from .core import LSProblem, make_report, relative_residual_profile, solve_ols
 from .exceptions import CsvFormatError, DimensionError
-from .rpc import RpcParams, solve_rpc_sketched
+from .rpc import RpcParams, solve_robust_cls, solve_rpc_sketched
 from .sketch import KINDS, SketchSpec, make_sketch
 from .solvers import (
     GramSolver,
@@ -31,7 +26,6 @@ from .solvers import (
     _converged_lsqr,
     blendenpik_preconditioner,
     default_mu,
-    solve_robust_cls,
 )
 
 COHERENCE_CLASSES = ("incoherent", "semi-coherent", "coherent")
@@ -71,7 +65,7 @@ _METHOD_TABLE = {
     "ols-normal": (False, None, lambda p, sp, o, _: solve_ols(p, "normal-equations")),
     "cls": (True, _gram, _full_rhs),
     "ridge-cls": (True, _ridge_gram, _full_rhs),
-    "robust-cls": (True, _spectral, lambda p, sp, o, _: solve_robust_cls(sp, rho=o.rho)),
+    "robust-cls": (True, None, lambda p, sp, o, _: solve_robust_cls(sp, rho=o.rho)),
     "pcls": (True, _gram, _partial_rhs),
     "ridge-pcls": (True, _ridge_gram, _partial_rhs),
     "rpc": (True, _spectral, _rpc),
@@ -411,7 +405,6 @@ def run_experiment(config: ExperimentConfig, out_path=None):
     problem = _build_problem(config)
     config.validate_grid(problem)
     x_ls = solve_ols(problem, "factorized")
-    residual_ls = problem._residual_norm(x_ls)
     chash = config.config_hash()
 
     sink = open(out_path, "a", encoding="utf-8") if out_path else None
@@ -425,7 +418,7 @@ def run_experiment(config: ExperimentConfig, out_path=None):
                     for trial in range(config.trials):
                         seed = 0 if kind == "none" else _cell_seed(config.seed, kind, m, trial)
                         record = _run_cell(
-                            problem, config, x_ls, residual_ls, chash,
+                            problem, config, x_ls, chash,
                             method, kind, m, trial, seed,
                         )
                         records.append(record)
@@ -438,7 +431,7 @@ def run_experiment(config: ExperimentConfig, out_path=None):
     return records
 
 
-def _run_cell(problem, config, x_ls, residual_ls, chash, method, kind, m, trial, seed):
+def _run_cell(problem, config, x_ls, chash, method, kind, m, trial, seed):
     try:
         x = None
         best = None
@@ -451,12 +444,11 @@ def _run_cell(problem, config, x_ls, residual_ls, chash, method, kind, m, trial,
                 best = timings
             else:
                 best = {k: min(best[k], timings[k]) for k in best}
-        residual = problem._residual_norm(x)
-        rel_acc = residual / residual_ls - 1.0 if residual_ls > 0 else 0.0
+        report = make_report(problem, x_ls, x, method)
         return TrialRecord(
             config_hash=chash, method=method, sketch=kind, m=m, trial=trial, seed=seed,
-            relative_accuracy=rel_acc,
-            eps_optimality=eps_optimality(x, problem, x_ls),
+            relative_accuracy=report.relative_accuracy,
+            eps_optimality=report.eps_optimality,
             timings=best,
         )
     except Exception as exc:  # noqa: BLE001 - failed cells become failed records

@@ -1,6 +1,7 @@
-"""Robust partially-compressed least squares.
+"""Robust least squares on sketched data: partial compression (rpc) and
+full compression (robust-cls).
 
-The estimator minimizes the worst case of ``0.5 ||(P + dP) x||^2 - c^T x``
+The rpc estimator minimizes the worst case of ``0.5 ||(P + dP) x||^2 - c^T x``
 over Frobenius-bounded perturbations ``||dP||_F <= rho`` of the sketched
 matrix, which collapses to the convex scalar-structured objective
 ``0.5 (||P x|| + rho ||x||)^2 - c^T x``.
@@ -12,6 +13,9 @@ equation in gamma, solved by the shared safeguarded Newton root finder;
 the dual value ``tau = ||P x|| + rho ||x||`` and x then follow in closed
 form. Rank-deficient sketched matrices are supported, including the corner
 where the optimum annihilates ``P x``.
+
+Robust full compression is the same problem on the augmented matrix
+``[P q]`` (see :func:`solve_robust_cls`), so one scalar solve serves both.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .exceptions import (
     SecularNoRootError,
 )
 from .sketch import SketchOperator
-from .solvers import SketchedProblem, _increasing_root, solve_pcls, solve_ridge_pcls
+from .solvers import SketchedProblem, solve_cls, solve_pcls, solve_ridge_pcls
 
 
 @dataclass(frozen=True)
@@ -37,14 +41,12 @@ class RpcParams:
     """Tolerances and iteration caps for the robust partially-compressed solver.
 
     ``eps`` bounds the gap ``|gamma ||P x|| / ||x|| - 1|`` checked after the
-    scalar solve that ``newton_tol`` and ``max_newton`` drive; ``max_outer``
-    is validated but no longer read, as the solver has no outer iteration.
+    scalar solve that ``newton_tol`` and ``max_newton`` drive.
     """
 
     rho: float = 1.0
     eps: float = 1e-10
     newton_tol: float = 1e-12
-    max_outer: int = 100
     max_newton: int = 100
 
     def __post_init__(self):
@@ -52,8 +54,8 @@ class RpcParams:
             raise ValueError("rho must be nonnegative")
         if not (0.0 < self.eps < 1.0) or not (0.0 < self.newton_tol < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_newton < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_newton < 1:
+            raise ValueError("iteration cap must be at least 1")
 
 
 @dataclass
@@ -221,6 +223,48 @@ def newton_gamma(
     return gamma
 
 
+def _increasing_root(f, hi, tol, max_iter):
+    """Root of an increasing scalar function on [0, inf) with ``f(0) < 0``.
+
+    ``f(t)`` returns ``(value, slope, scale)``. ``hi`` doubles until
+    ``f(hi) > 0``, and is returned as the root (after 0 Newton steps) if
+    one of those points already has ``|value| <= tol * scale``. Otherwise
+    Newton steps, replaced by bisection whenever one leaves the bracket,
+    run until ``|value| <= tol * scale``. Returns
+    ``(root, newton_iterations)``. Raises :class:`ConvergenceError` with the
+    last point as ``last_iterate`` when either stage exhausts its budget;
+    ``diagnostics["bracketed"]`` says which.
+    """
+    lo = 0.0
+    for _ in range(400):
+        value, _, scale = f(hi)
+        if abs(value) <= tol * scale:
+            return hi, 0
+        if value > 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise ConvergenceError(
+            "root beyond bracketing range", last_iterate=hi, diagnostics={"bracketed": False}
+        )
+    t = 0.5 * (lo + hi)
+    for k in range(1, max_iter + 1):
+        value, slope, scale = f(t)
+        if abs(value) <= tol * scale:
+            return t, k
+        if value > 0:
+            hi = t
+        else:
+            lo = t
+        step = t - value / slope if slope > 0 else 0.5 * (lo + hi)
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"Newton did not reach tolerance in {max_iter} steps",
+        last_iterate=t,
+        diagnostics={"bracketed": True, "value": value},
+    )
+
+
 def _null_cone_coords(sigma, rhs_coeffs, rho, zero_mask):
     """Closed-form optimum (in V coordinates) when the minimizer
     annihilates P, or None when that corner is not optimal.
@@ -296,8 +340,10 @@ def solve_rpc_sketched(
     # At the optimum tau = ||u|| = gamma ||sigma u|| with u = bbar / (gamma d + rho).
     # Eliminating tau leaves h(gamma) = sum bbar^2 (1 - gamma^2 d) / (gamma d + rho)^2,
     # which falls from ||bbar||^2 / rho^2 to a negative limit off the null
-    # corner; d is zero under the rank rule so that the limits agree exactly.
-    d = np.where(zero_mask, 0.0, sigma**2)
+    # corner. Singular values under the rank rule count as zero, here and in
+    # the gap check below, so that the limits agree exactly.
+    sigma = np.where(zero_mask, 0.0, sigma)
+    d = sigma**2
     bb2 = bbar**2
 
     def neg_h(gamma):
@@ -340,6 +386,37 @@ def solve_rpc(
     """Sketch the problem with ``op`` and run :func:`solve_rpc_sketched`."""
     sp = SketchedProblem.from_problem(problem, op)
     return solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), params)
+
+
+def robust_cls_objective(P, q, x, rho: float) -> float:
+    """Worst case of ``0.5 ||(P+dP)x - (q+dq)||^2`` over ``||[dP, dq]||_F <= rho``,
+    which is ``0.5 (||P x - q|| + rho sqrt(1 + ||x||^2))^2``."""
+    return 0.5 * worst_case_objective(np.column_stack([P, q]), np.append(x, -1.0), rho)
+
+
+def solve_robust_cls(sp: SketchedProblem, rho: float) -> np.ndarray:
+    """Robust full compression: minimize :func:`robust_cls_objective`.
+
+    With ``P~ = [P q]`` and ``x~ = [x; -1]`` the worst case is
+    ``||P~ x~|| + rho ||x~||`` (El Ghaoui & Lebret 1997), the rpc gauge.
+    The gauge is positively homogeneous, so the rpc minimizer for ``P~``
+    and ``c = -e_{N+1}`` is the robust minimizer up to scale; dividing by
+    ``-x~_{N+1}`` (negative at that minimizer) returns x. ``P~`` gets a zero
+    row, which changes no norm, so it never has fewer rows than columns.
+    ``rho = 0`` is plain full compression.
+    """
+    if rho == 0.0:
+        return solve_cls(sp)
+    params = RpcParams(rho=rho)
+    m, N = sp.P.shape
+    aug = np.zeros((m + 1, N + 1))
+    aug[:m, :N] = sp.P
+    aug[:m, N] = sp.q
+    c = np.zeros(N + 1)
+    c[N] = -1.0
+    # b_norm is not read by the solve
+    x = solve_rpc_sketched(SketchedProblem(P=aug, q=np.zeros(m + 1), c=c), 0.0, params).x
+    return x[:N] / -x[N]
 
 
 def _golden_scale_polish(sp, x, rho, tol=1e-13):

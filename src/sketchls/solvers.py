@@ -1,9 +1,9 @@
 """Sketched least-squares estimators.
 
 Covers full compression (both sides sketched), partial compression (only
-the quadratic term sketched), their ridge-regularized forms, a robust
-variant of the fully compressed problem, and a sketch-preconditioned LSQR
-baseline for the uncompressed problem.
+the quadratic term sketched), their ridge-regularized forms, and a
+sketch-preconditioned LSQR baseline for the uncompressed problem. Both
+robust variants live in :mod:`sketchls.rpc`.
 """
 
 from __future__ import annotations
@@ -123,116 +123,6 @@ def solve_ridge_pcls(sp: SketchedProblem, mu: float) -> np.ndarray:
 def default_mu(sp: SketchedProblem, factor: float = 5.0) -> float:
     """Default ridge weight: ``factor`` times the smallest eigenvalue of P^T P."""
     return float(factor) * float(sp.spectral.sigma[-1]) ** 2
-
-
-# ---------------------------------------------------------------------------
-# robust fully-compressed least squares
-# ---------------------------------------------------------------------------
-
-
-def robust_cls_objective(P, q, x, rho: float) -> float:
-    """Worst case of ``0.5 ||(P+dP)x - (q+dq)||^2`` over ``||[dP, dq]||_F <= rho``."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(P @ x - q))
-    return 0.5 * (r + rho * math.sqrt(1.0 + float(x @ x))) ** 2
-
-
-def solve_robust_cls(
-    sp: SketchedProblem,
-    rho: float,
-    secular_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Minimize the worst-case compressed residual over a joint Frobenius ball.
-
-    The minimizer is a ridge solution ``x(mu) = (P^T P + mu I)^{-1} P^T q``
-    whose data-dependent weight solves the scalar secular equation
-    ``mu sqrt(1 + ||x(mu)||^2) = rho ||P x(mu) - q||``, found here by a
-    safeguarded Newton iteration.
-    """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0.0:
-        return solve_cls(sp)
-    spectral = sp.spectral
-    sigma, V = spectral.sigma, spectral.V
-    w = spectral.U.T @ sp.q
-    resid_perp_sq = max(float(sp.q @ sp.q) - float(w @ w), 0.0)
-    d = sigma**2
-    w2 = w**2
-
-    def x_of(mu):
-        return V @ ((sigma * w) / (d + mu))
-
-    def curves(mu):
-        den = d + mu
-        r_sq = float(np.sum(w2 * (mu / den) ** 2)) + resid_perp_sq
-        x_sq = float(np.sum(w2 * (sigma / den) ** 2))
-        dr_sq = 2.0 * float(np.sum(w2 * mu * d / den**3))
-        dx_sq = -2.0 * float(np.sum(w2 * d / den**3))
-        return math.sqrt(r_sq), math.sqrt(1.0 + x_sq), dr_sq, dx_sq
-
-    # at mu = 0 only the mass of w on zero singular values (rank rule of
-    # RANK_REL_TOL) is left in the residual, and x has no part there
-    zero = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
-    r0 = math.sqrt(float(np.sum(w2[zero])) + resid_perp_sq)
-    if r0 <= 1e-15 * float(np.linalg.norm(sp.q)):
-        # q lies in the range of P; the unregularized solution is stationary
-        return V @ np.divide(w, sigma, out=np.zeros_like(w), where=~zero)
-
-    def g_val(mu):
-        r, s, dr_sq, dx_sq = curves(mu)
-        dg = s + mu * dx_sq / (2.0 * s) - rho * dr_sq / (2.0 * r)
-        return mu * s - rho * r, dg, mu * s + rho * r
-
-    try:
-        mu, _ = _increasing_root(
-            g_val, rho * max(1.0, float(np.linalg.norm(sp.q))), secular_tol, max_iter
-        )
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"secular iteration: {exc}",
-            last_iterate=x_of(exc.last_iterate),
-            diagnostics={"mu": exc.last_iterate, "gap": exc.diagnostics.get("value")},
-        ) from exc
-    return x_of(mu)
-
-
-def _increasing_root(f, hi, tol, max_iter):
-    """Root of an increasing scalar function on [0, inf) with ``f(0) < 0``.
-
-    ``f(t)`` returns ``(value, slope, scale)``. ``hi`` doubles until
-    ``f(hi) > 0``; then Newton steps, replaced by bisection whenever one
-    leaves the bracket, run until ``|value| <= tol * scale``. Returns
-    ``(root, newton_iterations)``. Raises :class:`ConvergenceError` with the
-    last point as ``last_iterate`` when either stage exhausts its budget;
-    ``diagnostics["bracketed"]`` says which.
-    """
-    lo = 0.0
-    for _ in range(400):
-        if f(hi)[0] > 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ConvergenceError(
-            "root beyond bracketing range", last_iterate=hi, diagnostics={"bracketed": False}
-        )
-    t = 0.5 * (lo + hi)
-    for k in range(1, max_iter + 1):
-        value, slope, scale = f(t)
-        if abs(value) <= tol * scale:
-            return t, k
-        if value > 0:
-            hi = t
-        else:
-            lo = t
-        step = t - value / slope if slope > 0 else 0.5 * (lo + hi)
-        t = step if lo < step < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"Newton did not reach tolerance in {max_iter} steps",
-        last_iterate=t,
-        diagnostics={"bracketed": True, "value": value},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ class TestParams:
             {"eps": 0.0},
             {"eps": 1.5},
             {"newton_tol": 0.0},
-            {"max_outer": 0},
             {"max_newton": 0},
         ],
     )
@@ -385,6 +384,35 @@ class TestSolveRpc:
         for _ in range(200):
             probe = sol.x + rng.standard_normal(4) * 0.1 * np.linalg.norm(sol.x)
             assert rpc_objective(sp, probe, rho) >= f_star - 1e-10
+
+    def test_gap_check_uses_rank_rule(self):
+        # sigma_3 = 9e-13 is zero under the rank rule; at gamma ~ 1e11 it
+        # would otherwise add about 2e-3 to the normalization gap
+        P = np.zeros((4, 3))
+        P[[0, 1, 2], [0, 1, 2]] = [1.0, 1e-11, 9e-13]
+        sp = SketchedProblem(P=P, q=np.zeros(4), c=np.ones(3))
+        sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=1.0))
+        assert sol.converged and sol.gamma > 1e10
+        f_star = rpc_objective(sp, sol.x, 1.0)
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            probe = sol.x * (1.0 + 1e-3 * rng.standard_normal(3))
+            assert rpc_objective(sp, probe, 1.0) >= f_star - 1e-12
+
+    def test_one_column_root_found_while_bracketing(self):
+        # for N = 1 the root is exactly the starting point 1/sigma_max, and
+        # x = c / (||P|| + rho)^2 in closed form
+        rng = np.random.default_rng(27)
+        for trial in range(12):
+            m = int(rng.integers(1, 30))
+            sp = SketchedProblem(
+                P=rng.standard_normal((m, 1)), q=np.zeros(m), c=rng.standard_normal(1)
+            )
+            rho = float(10.0 ** rng.uniform(-3, 2))
+            sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=rho))
+            assert sol.newton_iters_total <= 2
+            x_exact = sp.c / (np.linalg.norm(sp.P) + rho) ** 2
+            assert_allclose(sol.x, x_exact, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs", [{"max_newton": 1}, {"newton_tol": 1e-3, "eps": 1e-14}]

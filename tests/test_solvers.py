@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,25 @@ class TestRobustCls:
         _, f_oracle = robust_cls_grid_oracle(P, q, 1.0)
         f = robust_cls_objective(P, q, x, 1.0)
         assert f <= f_oracle + 1e-6 * (1 + abs(f_oracle))
+        # consistent q at radii large against P's singular values, where the
+        # unregularized interpolator is no longer optimal
+        for trial in range(6):
+            N = int(rng.integers(1, 6))
+            P = rng.standard_normal((int(rng.integers(N + 1, 30)), N))
+            q = P @ rng.standard_normal(N)
+            rho = float(10.0 ** rng.uniform(0.5, 3))
+            sp = SketchedProblem(P=P, q=q, c=np.zeros(N))
+            _, f_oracle = robust_cls_grid_oracle(P, q, rho)
+            f = robust_cls_objective(P, q, solve_robust_cls(sp, rho), rho)
+            assert f <= f_oracle + 1e-6 * (1 + abs(f_oracle))
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 1.5, 10.0])
+    def test_scalar_closed_form(self, rho):
+        # |x - 1| + rho sqrt(1 + x^2) has its kink at x = 1 optimal while
+        # rho <= sqrt(2), and a smooth minimizer 1 / sqrt(rho^2 - 1) beyond
+        sp = SketchedProblem(P=np.array([[1.0]]), q=np.array([1.0]), c=np.zeros(1))
+        expected = 1.0 if rho <= math.sqrt(2.0) else 1.0 / math.sqrt(rho**2 - 1.0)
+        assert_allclose(solve_robust_cls(sp, rho), [expected], rtol=1e-10)
 
     def test_never_worse_than_cls_point(self):
         rng = np.random.default_rng(13)
