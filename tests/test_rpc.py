@@ -51,6 +51,7 @@ class TestParams:
             {"eps": 1.5},
             {"newton_tol": 0.0},
             {"max_newton": 0},
+            {"newton_tol": 1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
