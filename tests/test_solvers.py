@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg as sla
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import planted_problem, random_problem
 from sketchls import (
     ConvergenceError,
+    LSProblem,
     SingularMatrixError,
     SketchSpec,
     SketchedProblem,
@@ -34,6 +36,12 @@ def sketched(problem, kind="gaussian", m=None, seed=0):
     m = m or 4 * problem.N
     op = make_sketch(SketchSpec(kind=kind, m=m, M=problem.M, seed=seed))
     return SketchedProblem.from_problem(problem, op), op
+
+
+def relative_gradient(A, b, x):
+    """Recomputed ``||A^T (A x - b)|| / ||A^T b||``; BLAS nrm2 keeps it finite
+    on data scaled by 1e+-150, where squaring the entries would overflow."""
+    return sla.norm(A.T @ (A @ x - b)) / sla.norm(A.T @ b)
 
 
 class TestClsPcls:
@@ -274,8 +282,6 @@ class TestBlendenpik:
         assert np.linalg.norm(x - x_ls) <= 1e-6 * np.linalg.norm(x_ls)
 
     def test_square_identity_matrix(self):
-        from sketchls import LSProblem
-
         b = np.array([2.0, -1.0, 0.5])
         problem = LSProblem(A=np.eye(3), b=b)
         op = make_sketch(SketchSpec(kind="gaussian", m=3, M=3, seed=1))
@@ -304,6 +310,62 @@ class TestBlendenpik:
     def test_singular_preconditioner_raises(self):
         with pytest.raises(SingularMatrixError):
             blendenpik_preconditioner(np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "count", None])
+    def test_contract_sweep(self, kind):
+        """Converged, with the recomputed gradient within tol, from cond 1e2 to
+        1e8. At cond 1e8 and tol 1e-10 LSQR from x = 0 stalls just above tol
+        (products with R^-1 floor its true gradient there); the restart from
+        the checked iterate reaches it."""
+        rng = np.random.default_rng(40)
+        M, N = 1500, 20
+        for condition in (1e2, 1e4, 1e6, 1e8):
+            problem, _ = planted_problem(rng, M, N, condition=condition)
+            R = None
+            if kind is not None:
+                spec = SketchSpec(kind=kind, m=8 * N, M=M, seed=int(rng.integers(2**31)))
+                R = blendenpik_preconditioner(make_sketch(spec).apply(problem.A))
+            for tol in (1e-6, 1e-10):
+                x, iters, converged = preconditioned_lsqr(problem.A, problem.b, R=R, tol=tol)
+                assert converged, (condition, tol, iters)
+                assert relative_gradient(problem.A, problem.b, x) <= tol, (condition, tol)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "count"])
+    def test_stall_returns_best_iterate(self, kind):
+        """At tol 1e-17 the recurrence bound passes while the true gradient,
+        floored near 1e-16 relative, fails the check, so every exit is a stall."""
+        problem, _ = planted_problem(np.random.default_rng(41), 400, 10, condition=1e4)
+        A, b = problem.A, problem.b
+        op = make_sketch(SketchSpec(kind=kind, m=40, M=400, seed=42))
+        R = blendenpik_preconditioner(op.apply(A))
+        x, iters, converged = preconditioned_lsqr(A, b, R=R, tol=1e-17, max_iter=30)
+        assert not converged and iters == 30
+        assert np.all(np.isfinite(x)) and relative_gradient(A, b, x) <= 1e-12
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_blendenpik(problem, op, lsqr_tol=1e-17, max_iter=30)
+        assert_array_equal(excinfo.value.last_iterate, x)
+        for tol in (1e-16, 1e-15, 1e-14):  # near the floor: converged only if it holds
+            x, _, converged = preconditioned_lsqr(A, b, R=R, tol=tol, max_iter=30)
+            assert not converged or relative_gradient(A, b, x) <= tol, tol
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "count", None])
+    @pytest.mark.parametrize(
+        "N, m, scale",
+        [(1, 4, 1.0), (8, 8, 1.0), (8, 32, 1e150), (8, 32, 1e-150)],
+        ids=["N=1", "m=N", "scale=1e+150", "scale=1e-150"],
+    )
+    def test_edge_cases_converge(self, kind, N, m, scale):
+        problem, _ = planted_problem(np.random.default_rng(43), 200, N, condition=1e3)
+        A, b = scale * problem.A, scale * problem.b
+        R = None
+        if kind is not None:
+            op = make_sketch(SketchSpec(kind=kind, m=m, M=200, seed=44))
+            R = blendenpik_preconditioner(op.apply(A))
+            x = solve_blendenpik(LSProblem(A=A, b=b), op, lsqr_tol=1e-10)
+            assert relative_gradient(A, b, x) <= 1e-10
+        x, iters, converged = preconditioned_lsqr(A, b, R=R, tol=1e-10)
+        assert converged and np.all(np.isfinite(x))
+        assert relative_gradient(A, b, x) <= 1e-10
 
 
 class TestErrorDecomposition:
