@@ -179,14 +179,22 @@ class RosSketch(SketchOperator):
 
 
 class CountSketch(SketchOperator):
-    """One +/-1 entry per column; applies in time proportional to nnz."""
+    """One +/-1 entry per column; applies in time proportional to nnz.
+
+    The matrix is held in CSC form, one entry per column with ``rows`` as its
+    row indices, so building it sorts nothing. Applying it reads X row by
+    row in order and adds each row into the small m-row output.
+    CSR gathers the rows of X in random order instead, at a speed that moves
+    with where X's pages land in memory. Each output row sums its terms in
+    the same order either way, so the result is bit-identical.
+    """
 
     def __init__(self, spec: SketchSpec, rows: np.ndarray, signs: np.ndarray):
         super().__init__(spec)
         self.rows = rows
         self.signs = signs
-        self._matrix = sparse.csr_matrix(
-            (signs.astype(float), (rows, np.arange(spec.M))), shape=(spec.m, spec.M)
+        self._matrix = sparse.csc_matrix(
+            (signs.astype(float), rows, np.arange(spec.M + 1)), shape=(spec.m, spec.M)
         )
 
     @classmethod

@@ -73,6 +73,21 @@ class TestApply:
         )
         assert_allclose(apply_sketch(op, np.eye(4)), np.eye(4), atol=0.0)
 
+    def test_count_apply_is_an_ordered_scatter_add(self):
+        # each output row sums its signed input rows in input order, so the
+        # product is bit-identical to an in-order scatter-add, for matrices,
+        # vectors and Fortran-ordered input alike
+        rng = np.random.default_rng(4)
+        M, m = 500, 23
+        op = make_sketch(SketchSpec(kind="count", m=m, M=M, seed=9))
+        for X in (rng.standard_normal((M, 5)), rng.standard_normal(M),
+                  np.asfortranarray(rng.standard_normal((M, 3)))):
+            expected = np.zeros((m,) + X.shape[1:])
+            np.add.at(expected, op.rows, op.signs.reshape((M,) + (1,) * (X.ndim - 1)) * X)
+            assert op.apply(X).tobytes() == expected.tobytes()
+        Y = rng.standard_normal((m, 4))
+        assert op.apply_transpose(Y).tobytes() == (op.signs[:, None] * Y[op.rows]).tobytes()
+
     def test_identity_helper(self):
         op = identity_sketch(5)
         X = np.random.default_rng(0).standard_normal((5, 2))
