@@ -21,7 +21,6 @@ from .exceptions import (
     DegenerateInstanceError,
     DimensionError,
     RankDeficientError,
-    SecularNoRootError,
     SingularMatrixError,
     SketchLSError,
 )
@@ -40,13 +39,10 @@ from .harness import (
 from .rpc import (
     RpcParams,
     RpcSolution,
-    dual_inner_objective,
-    newton_gamma,
     robust_cls_objective,
     rpc_objective,
     rpc_objective_gradient,
     rpc_oracle,
-    secular_phi,
     solve_robust_cls,
     solve_rpc,
     solve_rpc_sketched,
@@ -57,7 +53,6 @@ from .rpc import (
 from .sketch import (
     SketchOperator,
     SketchSpec,
-    apply_sketch,
     fwht,
     identity_sketch,
     make_sketch,

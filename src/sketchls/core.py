@@ -106,38 +106,37 @@ class LSProblem:
 
 @dataclass(eq=False)
 class SpectralData:
-    """Thin SVD of an m x N matrix (m >= N): ``P = U diag(sigma) V^T``.
+    """Singular values and right singular vectors of an m x N matrix P
+    (m >= N): ``P^T P = V diag(sigma^2) V^T``.
 
     ``sigma`` is descending and may contain zeros; ``V`` is square N x N.
+    The left factor is never formed.
     """
 
-    U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        self.U = _as_matrix(self.U)
         self.V = _as_matrix(self.V)
         self.sigma = _as_vector(self.sigma, name="sigma")
-        m, N = self.U.shape
-        if self.V.shape != (N, N) or self.sigma.shape != (N,):
+        N = self.sigma.shape[0]
+        if self.V.shape != (N, N):
             raise DimensionError("inconsistent SVD factor shapes")
         if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
             raise ValueError("singular values must be nonnegative and descending")
 
     @classmethod
     def from_matrix(cls, P) -> "SpectralData":
+        """sigma and V from the SVD of the N x N R of a QR of P, which has
+        the same singular values and right singular vectors."""
         P = _as_matrix(P)
         m, N = P.shape
         if m < N:
             raise DimensionError(
                 f"spectral data needs at least as many rows as columns, got {P.shape}"
             )
-        U, sigma, Vt = np.linalg.svd(P, full_matrices=False)
-        return cls(U=U, sigma=sigma, V=Vt.T)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
+        _, sigma, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))
+        return cls(sigma=sigma, V=Vt.T)
 
 
 @dataclass

@@ -21,19 +21,6 @@ class DegenerateInstanceError(SketchLSError):
     """The requested quantity is undefined for this input (e.g. zero norms)."""
 
 
-class SecularNoRootError(SketchLSError):
-    """The secular equation has no root for the current dual value.
-
-    ``direction`` is ``"decrease"`` when the dual value must shrink
-    (no nonnegative root) and ``"increase"`` when it must grow (the
-    secular function stays positive for every finite argument).
-    """
-
-    def __init__(self, message, direction):
-        super().__init__(message)
-        self.direction = direction
-
-
 class ConvergenceError(SketchLSError):
     """An iterative routine exhausted its iteration budget.
 

@@ -26,14 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RANK_REL_TOL, LSProblem, SpectralData, _as_matrix, _as_vector
-from .exceptions import (
-    ConvergenceError,
-    DegenerateInstanceError,
-    SecularNoRootError,
-)
+from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector
+from .exceptions import ConvergenceError, DegenerateInstanceError
 from .sketch import SketchOperator
-from .solvers import SketchedProblem, solve_cls, solve_pcls, solve_ridge_pcls
+from .solvers import SketchedProblem, _norm, solve_cls, solve_pcls, solve_ridge_pcls
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def worst_case_objective(P, x, rho: float) -> float:
     """Tight upper bound ``(||P x|| + rho ||x||)^2`` of the perturbed norm."""
     P = _as_matrix(P)
     x = _as_vector(x, length=P.shape[1], name="x")
-    return (float(np.linalg.norm(P @ x)) + rho * float(np.linalg.norm(x))) ** 2
+    return (_norm(P @ x) + rho * _norm(x)) ** 2
 
 
 def worst_case_perturbation(P, x, rho: float) -> np.ndarray:
@@ -110,8 +106,8 @@ def worst_case_perturbation(P, x, rho: float) -> np.ndarray:
     if rho == 0.0:
         return np.zeros_like(P)
     px = P @ x
-    norm_px = float(np.linalg.norm(px))
-    norm_x = float(np.linalg.norm(x))
+    norm_px = _norm(px)
+    norm_x = _norm(x)
     if norm_x == 0.0 or norm_px == 0.0:
         raise DegenerateInstanceError(
             "worst-case perturbation is undefined when x or P x vanishes"
@@ -129,98 +125,19 @@ def rpc_objective_gradient(sp: SketchedProblem, x, rho: float) -> np.ndarray:
     """Gradient of :func:`rpc_objective`; defined away from x = 0 and P x = 0."""
     x = _as_vector(x, length=sp.N, name="x")
     px = sp.P @ x
-    alpha = float(np.linalg.norm(px))
-    beta = float(np.linalg.norm(x))
+    alpha = _norm(px)
+    beta = _norm(x)
     if alpha == 0.0 or beta == 0.0:
         raise DegenerateInstanceError("gradient undefined where x or P x vanishes")
     return (alpha + rho * beta) * (sp.P.T @ px / alpha + rho * x / beta) - sp.c
 
 
-def dual_inner_objective(sp: SketchedProblem, x, rho: float, tau: float) -> float:
-    """Inner dual objective ``tau (||P x|| + rho ||x||) - c^T x`` (positively
-    homogeneous in x) of the per-tau dual formulation, which is no longer
-    on the path of :func:`solve_rpc_sketched`."""
-    x = _as_vector(x, length=sp.N, name="x")
-    gauge = float(np.linalg.norm(sp.P @ x)) + rho * float(np.linalg.norm(x))
-    return tau * gauge - float(sp.c @ x)
-
-
 def stationarity_residual(sp: SketchedProblem, x, rho: float) -> float:
     """Norm of the first-order-condition residual at ``x`` (``||c||`` at x = 0)."""
     x = _as_vector(x, length=sp.N, name="x")
-    if float(np.linalg.norm(x)) == 0.0:
-        return float(np.linalg.norm(sp.c))
-    return float(np.linalg.norm(rpc_objective_gradient(sp, x, rho)))
-
-
-def secular_phi(spectral: SpectralData, rhs_coeffs, rho: float, tau: float, gamma: float):
-    """Secular function and derivative for the inner normalization equation.
-
-    ``rhs_coeffs`` are the coordinates of ``A^T b`` in the right singular
-    basis of P. The function is strictly decreasing in gamma whenever some
-    coefficient sits on a positive singular value. It is the per-tau
-    equation of the dual formulation (see :func:`newton_gamma`), not on the
-    path of :func:`solve_rpc_sketched`.
-    """
-    if tau <= 0 or rho <= 0 or gamma < 0:
-        raise ValueError("need tau > 0, rho > 0 and gamma >= 0")
-    bb = np.asarray(rhs_coeffs, dtype=float)
-    return _secular(spectral.sigma**2, bb**2, rho, tau, gamma)
-
-
-def _secular(d, bb2, rho, tau, gamma):
-    """Value and slope of ``sum bb2 / (gamma d + rho)^2 / tau^2 - 1``."""
-    den = gamma * d + rho
-    value = float(np.sum(bb2 / den**2)) / tau**2 - 1.0
-    derivative = -2.0 * float(np.sum(d * bb2 / den**3)) / tau**2
-    return value, derivative
-
-
-def newton_gamma(
-    spectral: SpectralData,
-    rhs_coeffs,
-    rho: float,
-    tau: float,
-    newton_tol: float = 1e-12,
-    max_newton: int = 100,
-) -> float:
-    """Safeguarded-Newton root of the secular function for fixed tau.
-
-    This is the per-tau equation of the dual formulation of the estimator;
-    :func:`solve_rpc_sketched` eliminates tau and no longer goes through it.
-    Raises :class:`SecularNoRootError` with direction "decrease" when
-    phi(0) < 0 and "increase" when phi stays positive for every finite gamma
-    (mass trapped on zero singular values).
-    """
-    sigma = spectral.sigma
-    zero_mask = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
-    bb2 = np.asarray(rhs_coeffs, dtype=float) ** 2
-    d = sigma**2
-    phi0 = float(np.sum(bb2)) / (rho * tau) ** 2 - 1.0
-    if phi0 < 0:
-        raise SecularNoRootError("no nonnegative secular root", direction="decrease")
-    if phi0 <= newton_tol:
-        return 0.0
-    tail = float(np.sum(bb2[zero_mask])) / (rho * tau) ** 2 - 1.0
-    if tail >= 0:
-        raise SecularNoRootError("secular function positive for all gamma", direction="increase")
-
-    def neg_phi(gamma):
-        value, derivative = _secular(d, bb2, rho, tau, gamma)
-        return -value, -derivative, 1.0
-
-    try:
-        gamma, _ = _increasing_root(neg_phi, 1.0, newton_tol, max_newton)
-    except ConvergenceError as exc:
-        if not exc.diagnostics["bracketed"]:
-            raise SecularNoRootError(
-                "secular root beyond bracketing range", direction="increase"
-            ) from exc
-        raise ConvergenceError(
-            f"secular {exc}",
-            diagnostics={"tau": tau, "gamma": exc.last_iterate, "phi": -exc.diagnostics["value"]},
-        ) from exc
-    return gamma
+    if _norm(x) == 0.0:
+        return _norm(sp.c)
+    return _norm(rpc_objective_gradient(sp, x, rho))
 
 
 def _increasing_root(f, hi, tol, max_iter):
@@ -265,6 +182,11 @@ def _increasing_root(f, hi, tol, max_iter):
     )
 
 
+def _pow2(v: float) -> float:
+    """The power of two in ``(v, 2v]`` (1 for v = 0); dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(v)[1])
+
+
 def _null_cone_coords(sigma, rhs_coeffs, rho, zero_mask):
     """Closed-form optimum (in V coordinates) when the minimizer
     annihilates P, or None when that corner is not optimal.
@@ -297,7 +219,7 @@ def solve_rpc_sketched(
     rho = params.rho
     c = sp.c
     N = sp.N
-    c_norm = float(np.linalg.norm(c))
+    c_norm = _norm(c)
 
     if c_norm == 0.0:
         return RpcSolution(
@@ -307,34 +229,39 @@ def solve_rpc_sketched(
     if rho == 0.0:
         # vanishing uncertainty: plain partial compression
         x = solve_pcls(sp)
-        alpha = float(np.linalg.norm(sp.P @ x))
-        beta = float(np.linalg.norm(x))
-        foc = float(np.linalg.norm(sp.P.T @ (sp.P @ x) - c))
+        alpha = _norm(sp.P @ x)
+        beta = _norm(x)
+        foc = _norm(sp.P.T @ (sp.P @ x) - c)
         return RpcSolution(
             x=x, alpha=alpha, beta=beta, tau=alpha,
             gamma=beta / alpha if alpha > 0 else 0.0,
             outer_iters=0, newton_iters_total=0, foc_residual=foc, converged=True,
         )
 
+    # h below is homogeneous in (sigma, rho) and in bbar, so it is solved in
+    # units of sigma_max and ||c||, rounded up to powers of two: every square
+    # then stays in range, and scaling back is exact
     spectral = sp.spectral
-    sigma, V = spectral.sigma, spectral.V
-    zero_mask = sigma <= RANK_REL_TOL * (sigma[0] if len(sigma) else 0.0)
-    bbar = V.T @ c
+    s, t = _pow2(float(spectral.sigma[0])), _pow2(c_norm)
+    sigma, V, r = spectral.sigma / s, spectral.V, rho / s
+    x_unit = t / s / s
+    zero_mask = sigma <= RANK_REL_TOL * sigma[0]
+    bbar = V.T @ (c / t)
 
-    u_null = _null_cone_coords(sigma, bbar, rho, zero_mask)
+    u_null = _null_cone_coords(sigma, bbar, r, zero_mask)
     if u_null is not None:
-        x_null = V @ u_null
-        beta = float(np.linalg.norm(u_null))
-        tau = rho * beta
+        x_null = x_unit * (V @ u_null)
+        beta = _norm(u_null)
+        tau = r * beta
         # subgradient certificate, all in V coordinates: the multiplier on
         # the ||P x|| term picks up bbar across the positive singular values
         w = np.zeros_like(bbar)
         w[~zero_mask] = bbar[~zero_mask] / (tau * sigma[~zero_mask])
-        foc = float(np.linalg.norm(tau * (sigma * w + rho * u_null / beta) - bbar))
+        foc = _norm(tau * (sigma * w + r * u_null / beta) - bbar)
         return RpcSolution(
-            x=x_null, alpha=float(np.linalg.norm(sp.P @ x_null)), beta=beta,
-            tau=tau, gamma=math.inf,
-            outer_iters=0, newton_iters_total=0, foc_residual=foc, converged=True,
+            x=x_null, alpha=_norm(sp.P @ x_null), beta=x_unit * beta,
+            tau=t / s * tau, gamma=math.inf,
+            outer_iters=0, newton_iters_total=0, foc_residual=t * foc, converged=True,
         )
 
     # At the optimum tau = ||u|| = gamma ||sigma u|| with u = bbar / (gamma d + rho).
@@ -347,9 +274,9 @@ def solve_rpc_sketched(
     bb2 = bbar**2
 
     def neg_h(gamma):
-        den = gamma * d + rho
+        den = gamma * d + r
         head, tail = bb2 / den**2, bb2 * d * (gamma / den) ** 2
-        slope = 2.0 * float(np.sum(bb2 * d * (gamma * rho + 1.0) / den**3))
+        slope = 2.0 * float(np.sum(bb2 * d * (gamma * r + 1.0) / den**3))
         return float(np.sum(tail - head)), slope, float(np.sum(head + tail))
 
     try:
@@ -359,23 +286,23 @@ def solve_rpc_sketched(
         failure = None
     except ConvergenceError as exc:
         gamma, failure = exc.last_iterate, exc
-    u = bbar / (gamma * d + rho)
-    tau = float(np.linalg.norm(u))
-    gap = gamma * float(np.linalg.norm(sigma * u)) / tau - 1.0
+    u = bbar / (gamma * d + r)
+    tau = _norm(u)
+    gap = gamma * _norm(sigma * u) / tau - 1.0
     if failure is not None or not abs(gap) <= params.eps:
         raise ConvergenceError(
             f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
-            last_iterate=(tau, gamma),
-            diagnostics={"gamma": gamma, "gap": gap},
+            last_iterate=(t / s * tau, gamma / s),
+            diagnostics={"gamma": gamma / s, "gap": gap},
         ) from failure
 
-    alpha = tau / (1.0 + rho * gamma)
+    alpha = tau / (1.0 + r * gamma)
     beta = gamma * alpha
-    x = (beta / tau) * (V @ u)
+    x = (x_unit * beta / tau) * (V @ u)
     foc = stationarity_residual(sp, x, rho)
     return RpcSolution(
-        x=x, alpha=float(np.linalg.norm(sp.P @ x)), beta=float(np.linalg.norm(x)),
-        tau=tau, gamma=gamma, outer_iters=1, newton_iters_total=newton_total,
+        x=x, alpha=_norm(sp.P @ x), beta=_norm(x),
+        tau=t / s * tau, gamma=gamma / s, outer_iters=1, newton_iters_total=newton_total,
         foc_residual=foc, converged=True,
     )
 
@@ -385,7 +312,7 @@ def solve_rpc(
 ) -> RpcSolution:
     """Sketch the problem with ``op`` and run :func:`solve_rpc_sketched`."""
     sp = SketchedProblem.from_problem(problem, op)
-    return solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), params)
+    return solve_rpc_sketched(sp, _norm(problem.b), params)
 
 
 def robust_cls_objective(P, q, x, rho: float) -> float:
@@ -407,11 +334,15 @@ def solve_robust_cls(sp: SketchedProblem, rho: float) -> np.ndarray:
     """
     if rho == 0.0:
         return solve_cls(sp)
-    params = RpcParams(rho=rho)
     m, N = sp.P.shape
     aug = np.zeros((m + 1, N + 1))
     aug[:m, :N] = sp.P
     aug[:m, N] = sp.q
+    # dividing [P q] and rho by one power of two moves no minimizer of the
+    # homogeneous gauge and keeps the scale of x~ near 1
+    scale = _pow2(float(np.abs(aug).max()))
+    aug /= scale
+    params = RpcParams(rho=rho / scale)
     c = np.zeros(N + 1)
     c[N] = -1.0
     # b_norm is not read by the solve

@@ -227,11 +227,6 @@ def identity_sketch(M: int) -> CountSketch:
     return CountSketch(spec, rows=np.arange(M), signs=np.ones(M))
 
 
-def apply_sketch(op: SketchOperator, X):
-    """Compute ``Phi @ X``; linear in X and deterministic given the spec."""
-    return op.apply(X)
-
-
 def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> float:
     """Rough flop count of applying the operator to an M x N matrix."""
     if spec.kind == "gaussian":

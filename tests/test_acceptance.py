@@ -16,19 +16,16 @@ from sketchls import (
     RpcParams,
     SketchSpec,
     SketchedProblem,
-    SpectralData,
     blendenpik_preconditioner,
     cls_error_decomposition,
     eps_optimality,
     identity_sketch,
     make_sketch,
-    newton_gamma,
     preconditioned_lsqr,
     profile_quantile,
     rpc_objective,
     rpc_objective_gradient,
     rpc_oracle,
-    secular_phi,
     solve_cls,
     solve_ols,
     solve_pcls,
@@ -235,35 +232,34 @@ def test_a06_sketch_unbiasedness():
 def test_a07_secular_newton_solver():
     gate = Gate("A07", "secular Newton root finder")
     rng = np.random.default_rng(707)
-    # scalar closed form
+    # scalar closed form: gamma = 1 / sigma and x = bb / (sigma + rho)^2
     for trial in range(50):
         sigma = float(rng.uniform(0.3, 3.0))
         bb = float(rng.uniform(0.5, 4.0))
         rho = float(rng.uniform(0.1, 2.0))
-        tau = float(rng.uniform(0.05, 0.95) * bb / rho)
-        sd = SpectralData(U=np.eye(1), sigma=np.array([sigma]), V=np.eye(1))
-        gamma = newton_gamma(sd, [bb], rho, tau)
-        expected = (bb / tau - rho) / sigma**2
+        sp = SketchedProblem(P=np.array([[sigma]]), q=np.zeros(1), c=np.array([bb]))
+        sol = solve_rpc_sketched(sp, 0.0, RpcParams(rho=rho))
+        x_expected = bb / (sigma + rho) ** 2
         gate.check(
-            abs(gamma - expected) <= 1e-10 * max(1.0, expected),
-            f"scalar trial {trial}: {gamma} vs {expected}",
+            abs(sol.gamma - 1.0 / sigma) <= 1e-10 * max(1.0, 1.0 / sigma)
+            and abs(sol.x[0] - x_expected) <= 1e-10 * max(1.0, x_expected),
+            f"scalar trial {trial}: gamma {sol.gamma}, x {sol.x[0]} vs {1.0 / sigma}, {x_expected}",
         )
-    # six-dimensional roots against a pure-bisection search
+    # six-dimensional roots of h(gamma) against a pure-bisection search
     for trial in range(25):
         sigma = np.sort(rng.uniform(0.2, 4.0, 6))[::-1]
         bb = rng.standard_normal(6)
         rho = float(rng.uniform(0.2, 2.0))
-        tau = float(rng.uniform(0.1, 0.9)) * np.linalg.norm(bb) / rho
-        sd = SpectralData(U=np.eye(6), sigma=sigma, V=np.eye(6))
-        gamma = newton_gamma(sd, bb, rho, tau)
+        sp = SketchedProblem(P=np.diag(sigma), q=np.zeros(6), c=bb)
+        gamma = solve_rpc_sketched(sp, 0.0, RpcParams(rho=rho)).gamma
         d = sigma**2
+        h = lambda g: float(np.sum(bb**2 * (1.0 - g**2 * d) / (g * d + rho) ** 2))
         lo, hi = 0.0, 1.0
-        phi = lambda g: float(np.sum(bb**2 / (g * d + rho) ** 2)) / tau**2 - 1.0
-        while phi(hi) >= 0:
+        while h(hi) >= 0:
             hi *= 2
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if phi(mid) > 0:
+            if h(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -272,9 +268,6 @@ def test_a07_secular_newton_solver():
             abs(gamma - oracle) <= 1e-10 * max(1.0, oracle),
             f"trial {trial}: newton {gamma} vs bisection {oracle}",
         )
-        for g in np.geomspace(1e-8, 1e8, 30):
-            _, slope = secular_phi(sd, bb, rho, tau, g)
-            gate.check(slope <= 0.0, f"trial {trial}: positive slope at gamma={g}")
     gate.finish()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import svdvals
 
 from helpers import planted_problem, random_problem
 from sketchls import (
@@ -160,12 +161,18 @@ class TestProfile:
 
 class TestSpectralData:
     def test_round_trip(self):
+        # sigma and V come from the R of a QR of P; at m = N and m = N + 1 an
+        # SVD of P itself would not QR first, so their last bits differ
         rng = np.random.default_rng(12)
-        P = rng.standard_normal((40, 6))
-        sd = SpectralData.from_matrix(P)
-        assert np.linalg.norm(sd.reconstruct() - P) <= 1e-8 * np.linalg.norm(P)
-        assert np.abs(sd.V.T @ sd.V - np.eye(6)).max() <= 1e-10
-        assert np.all(np.diff(sd.sigma) <= 0) and np.all(sd.sigma >= 0)
+        inputs = [rng.standard_normal(shape) for shape in ((40, 6), (6, 6), (7, 6), (12, 5))]
+        inputs[-1][:, 2] = 0.0  # rank deficient
+        for P in inputs:
+            sd = SpectralData.from_matrix(P)
+            tol = 1e-12 * sd.sigma[0]
+            assert_allclose(sd.sigma, svdvals(P), rtol=0.0, atol=tol)
+            assert_allclose(np.linalg.norm(P @ sd.V, axis=0), sd.sigma, rtol=0.0, atol=tol)
+            assert np.abs(sd.V.T @ sd.V - np.eye(P.shape[1])).max() <= 1e-12
+            assert np.all(np.diff(sd.sigma) <= 0) and np.all(sd.sigma >= 0)
 
     def test_requires_tall_matrix(self):
         with pytest.raises(DimensionError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,19 +11,16 @@ from sketchls import (
     DegenerateInstanceError,
     LSProblem,
     RpcParams,
-    SecularNoRootError,
     SketchSpec,
     SketchedProblem,
-    SpectralData,
-    dual_inner_objective,
+    generate_synthetic,
     identity_sketch,
     make_sketch,
-    newton_gamma,
     rpc_objective,
     rpc_objective_gradient,
     rpc_oracle,
-    secular_phi,
     solve_pcls,
+    solve_robust_cls,
     solve_rpc,
     solve_rpc_sketched,
     stationarity_residual,
@@ -148,119 +146,6 @@ class TestObjective:
         sp = random_sketched(rng, 6, 3)
         with pytest.raises(DegenerateInstanceError):
             rpc_objective_gradient(sp, np.zeros(3), 1.0)
-
-    def test_dual_inner_objective_positively_homogeneous(self):
-        rng = np.random.default_rng(7)
-        sp = random_sketched(rng, 8, 4)
-        x = rng.standard_normal(4)
-        h1 = dual_inner_objective(sp, x, rho=0.9, tau=1.3)
-        for s in (0.25, 2.0, 17.0):
-            assert dual_inner_objective(sp, s * x, 0.9, 1.3) == pytest.approx(s * h1, rel=1e-12)
-
-
-class TestSecular:
-    def spectral_for(self, sigma):
-        N = len(sigma)
-        return SpectralData(U=np.eye(N), sigma=np.asarray(sigma, dtype=float), V=np.eye(N))
-
-    def test_zero_coefficients(self):
-        sd = self.spectral_for([2.0, 1.0])
-        value, slope = secular_phi(sd, np.zeros(2), rho=1.0, tau=1.0, gamma=0.5)
-        assert value == -1.0 and slope == 0.0
-
-    def test_hand_computed_point(self):
-        sd = self.spectral_for([1.0])
-        value, slope = secular_phi(sd, [2.0], rho=1.0, tau=1.0, gamma=1.0)
-        assert value == pytest.approx(0.0)
-        assert slope == pytest.approx(-1.0)
-
-    def test_large_gamma_limit(self):
-        sd = self.spectral_for([2.0, 0.5])
-        value, _ = secular_phi(sd, [1.0, 1.0], rho=1.0, tau=1.0, gamma=1e12)
-        assert value == pytest.approx(-1.0, abs=1e-10)
-
-    def test_slope_nonpositive_on_grid(self):
-        rng = np.random.default_rng(8)
-        sd = self.spectral_for(np.sort(rng.uniform(0.1, 3.0, 5))[::-1])
-        bb = rng.standard_normal(5)
-        for gamma in np.geomspace(1e-6, 1e6, 25):
-            _, slope = secular_phi(sd, bb, rho=0.8, tau=1.1, gamma=gamma)
-            assert slope <= 0.0
-
-    def test_strictly_decreasing_when_mass_on_positive_sigma(self):
-        rng = np.random.default_rng(9)
-        sd = self.spectral_for([2.0, 1.0, 0.5])
-        bb = rng.standard_normal(3)
-        grid = np.linspace(0.0, 10.0, 40)
-        values = [secular_phi(sd, bb, 1.0, 1.0, g)[0] for g in grid]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def bisection_gamma_oracle(sigma, bb, rho, tau, tol=1e-14):
-    """Pure-bisection root of the secular function (independent of Newton)."""
-    d = np.asarray(sigma) ** 2
-    bb = np.asarray(bb, dtype=float)
-
-    def phi(g):
-        return float(np.sum(bb**2 / (g * d + rho) ** 2)) / tau**2 - 1.0
-
-    lo, hi = 0.0, 1.0
-    while phi(hi) >= 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-class TestNewtonGamma:
-    def test_scalar_closed_form(self):
-        sd = SpectralData(U=np.eye(1), sigma=np.array([1.0]), V=np.eye(1))
-        gamma = newton_gamma(sd, [2.0], rho=1.0, tau=1.0)
-        assert gamma == pytest.approx(1.0, abs=1e-10)  # (|bb|/tau - rho)/sigma^2
-
-    def test_scalar_closed_form_general(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            sigma = float(rng.uniform(0.3, 3.0))
-            bb = float(rng.uniform(0.5, 4.0))
-            rho = float(rng.uniform(0.1, 2.0))
-            tau = float(rng.uniform(0.05, bb / rho))  # keeps phi(0) >= 0
-            sd = SpectralData(U=np.eye(1), sigma=np.array([sigma]), V=np.eye(1))
-            expected = (bb / tau - rho) / sigma**2
-            assert newton_gamma(sd, [bb], rho, tau) == pytest.approx(expected, abs=1e-10)
-
-    def test_invariant_under_joint_scaling(self):
-        rng = np.random.default_rng(11)
-        sd = SpectralData(U=np.eye(4), sigma=np.array([3.0, 2.0, 1.0, 0.5]), V=np.eye(4))
-        bb = rng.standard_normal(4) * 3
-        g1 = newton_gamma(sd, bb, rho=1.0, tau=0.7)
-        g2 = newton_gamma(sd, 5.0 * bb, rho=1.0, tau=5.0 * 0.7)
-        assert g1 == pytest.approx(g2, rel=1e-10)
-
-    def test_matches_bisection_oracle(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            sigma = np.sort(rng.uniform(0.2, 4.0, 6))[::-1]
-            sd = SpectralData(U=np.eye(6), sigma=sigma, V=np.eye(6))
-            bb = rng.standard_normal(6)
-            rho = float(rng.uniform(0.2, 2.0))
-            tau_max = np.linalg.norm(bb) / rho
-            tau = float(rng.uniform(0.1, 0.9) * tau_max)
-            gamma = newton_gamma(sd, bb, rho, tau)
-            oracle = bisection_gamma_oracle(sigma, bb, rho, tau)
-            assert abs(gamma - oracle) <= 1e-10 * max(1.0, oracle)
-
-    def test_no_root_signal(self):
-        sd = SpectralData(U=np.eye(2), sigma=np.array([1.0, 0.5]), V=np.eye(2))
-        with pytest.raises(SecularNoRootError) as excinfo:
-            newton_gamma(sd, [0.1, 0.1], rho=1.0, tau=100.0)  # phi(0) < 0
-        assert excinfo.value.direction == "decrease"
 
 
 class TestSolveRpc:
@@ -414,6 +299,28 @@ class TestSolveRpc:
             assert sol.newton_iters_total <= 2
             x_exact = sp.c / (np.linalg.norm(sp.P) + rho) ** 2
             assert_allclose(sol.x, x_exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-155])
+    def test_data_scaled_near_the_limits(self, scale):
+        # c = A^T b carries the square of the scale, so squaring its entries
+        # under- or overflows; with rho scaled like P neither rpc nor
+        # robust-cls (rpc on [P q]) moves its minimizer. At 1e-155 robust-cls
+        # needs its common scale of [P q] and rho, or x~ leaves the range,
+        # and c is subnormal, so its small entries carry fewer digits
+        problem = generate_synthetic(200, 8, 1e2, "incoherent", 0)
+        op = make_sketch(SketchSpec(kind="count", m=32, M=200, seed=1))
+        scaled = LSProblem(A=scale * problem.A, b=scale * problem.b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_rpc(scaled, op, RpcParams(rho=scale))
+            x_robust = solve_robust_cls(SketchedProblem.from_problem(scaled, op), scale)
+        assert sol.converged
+        sp = SketchedProblem.from_problem(problem, op)
+        for x, x_ref in (
+            (sol.x, solve_rpc(problem, op, RpcParams(rho=1.0)).x),
+            (x_robust, solve_robust_cls(sp, 1.0)),
+        ):
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
     @pytest.mark.parametrize(
         "kwargs", [{"max_newton": 1}, {"newton_tol": 1e-3, "eps": 1e-14}]
