@@ -88,8 +88,6 @@ def _haar_columns(rng, rows, cols):
 
 
 def _geometric_sigma(n, condition):
-    if n == 1:
-        return np.array([1.0])
     return np.geomspace(1.0, 1.0 / condition, n)
 
 
@@ -136,9 +134,6 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
 
     x_star = rng.standard_normal(N)
     scale = float(np.linalg.norm(A @ x_star))
-    if scale == 0.0:  # pragma: no cover - A is full rank, x_star nonzero a.s.
-        x_star = np.ones(N)
-        scale = float(np.linalg.norm(A @ x_star))
     b = A @ x_star
     if residual_fraction > 0:
         raw = rng.standard_normal(M)
@@ -485,11 +480,7 @@ def emit_profile(records, group_keys=("method", "sketch", "m"), out_path=None):
         )
     rows = []
     for label in sorted(groups):
-        values = groups[label]
-        if not values:  # pragma: no cover - empty groups never get created
-            warnings.warn(f"group {label} is empty; omitted", stacklevel=2)
-            continue
-        for fraction, value in relative_residual_profile(values):
+        for fraction, value in relative_residual_profile(groups[label]):
             rows.append((label, fraction, value))
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:

@@ -350,40 +350,13 @@ def solve_robust_cls(sp: SketchedProblem, rho: float) -> np.ndarray:
     return x[:N] / -x[N]
 
 
-def _golden_scale_polish(sp, x, rho, tol=1e-13):
-    """Golden-section search for the best scaling of x (objective is convex
-    in the scale)."""
-    gauge = float(np.linalg.norm(sp.P @ x)) + rho * float(np.linalg.norm(x))
-    if gauge == 0.0:
-        return x
-    lin = float(sp.c @ x)
-
-    def val(t):
-        return 0.5 * (t * gauge) ** 2 - t * lin
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 2.0
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = val(c1), val(c2)
-    while b - a > tol:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = val(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = val(c2)
-    return 0.5 * (a + b) * x
-
-
 def rpc_oracle(sp: SketchedProblem, rho: float, tol: float = 1e-10, max_iter: int = 50000):
     """Slow reference minimizer of :func:`rpc_objective`.
 
     Damped fixed-point iteration on the data-dependent ridge structure of
     the optimum, initialized from the ridge solution with weight rho,
-    polished by a golden-section scale search. Independent of the scalar
-    solve in :func:`solve_rpc_sketched`.
+    polished by the best scaling of x in closed form. Independent of the
+    scalar solve in :func:`solve_rpc_sketched`.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -434,13 +407,16 @@ def rpc_oracle(sp: SketchedProblem, rho: float, tol: float = 1e-10, max_iter: in
     else:
         raise ConvergenceError("fixed-point oracle exhausted its iteration budget", last_iterate=x)
 
-    # scale polish; near the optimum the objective is flat below fp
-    # resolution in the scale, so keep the polished point only if it
-    # actually improves stationarity
-    x_polished = _golden_scale_polish(sp, x, rho)
-    if stationarity_residual(sp, x_polished, rho) < stationarity_residual(sp, x, rho):
-        x = x_polished
-    foc = stationarity_residual(sp, x, rho)
+    # scale polish: along t x the objective is 0.5 (t g)^2 - t c^T x with
+    # g = ||P x|| + rho ||x||, least on [0, 2] at t = clip(c^T x / g^2, 0, 2);
+    # near the optimum the objective is flat below fp resolution in the
+    # scale, so keep the polished point only if it improves stationarity
+    gauge = float(np.linalg.norm(sp.P @ x)) + rho * float(np.linalg.norm(x))
+    if gauge > 0.0:
+        x_polished = np.clip(float(c @ x) / gauge**2, 0.0, 2.0) * x
+        foc_polished = stationarity_residual(sp, x_polished, rho)
+        if foc_polished < foc:
+            x, foc = x_polished, foc_polished
     if foc > foc_bound:
         raise ConvergenceError(
             f"oracle stationarity residual {foc:.3e} above bound {foc_bound:.3e}",

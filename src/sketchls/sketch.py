@@ -2,13 +2,13 @@
 
 Three families are provided:
 
-* ``gaussian`` -- dense i.i.d. N(0, 1/m) entries;
+* ``gaussian`` -- dense i.i.d. N(0, 1/m) entries, held as a dense matrix;
 * ``ros`` -- randomized orthogonal system: sign flips, a normalized
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
-  E[Phi^T Phi] = I on the original coordinates;
-* ``count`` -- count sketch, one random +/-1 entry per column, applied in
-  O(nnz) through a sparse matrix.
+  E[Phi^T Phi] = I on the original coordinates, never formed as a matrix;
+* ``count`` -- count sketch, one random +/-1 entry per column, held as a
+  sparse CSC matrix and applied in O(nnz).
 
 Randomness is drawn from a counter-based Philox generator keyed by
 ``(seed, kind)``; every operator realizes its randomness at construction,
@@ -26,8 +26,7 @@ import scipy.sparse as sparse
 
 from .exceptions import DimensionError
 
-KINDS = ("gaussian", "ros", "count")
-_KIND_STREAM = {"gaussian": 0, "ros": 1, "count": 2}
+KINDS = ("gaussian", "ros", "count")  # index = generator stream, so only append
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class SketchSpec:
 
 
 def _spec_rng(spec: SketchSpec) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(_KIND_STREAM[spec.kind],))
+    seq = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(KINDS.index(spec.kind),))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -93,10 +92,19 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 
 class SketchOperator:
-    """Base class: a realized compression matrix applied as a linear map."""
+    """A realized compression matrix Phi, applied as a linear map.
 
-    def __init__(self, spec: SketchSpec):
+    ``gaussian`` holds Phi as a dense array. ``count`` holds it in CSC form,
+    one entry per column, so building it sorts nothing and applying it reads
+    X row by row in order, adding each row into the small m-row output.
+    CSR gathers the rows of X in random order instead, at a speed that moves
+    with where X's pages land in memory. Each output row sums its terms in
+    the same order either way, so the result is bit-identical.
+    """
+
+    def __init__(self, spec: SketchSpec, matrix):
         self.spec = spec
+        self.matrix = matrix
 
     def _check_rows(self, X, rows, name):
         X = np.asarray(X, dtype=float)
@@ -107,34 +115,16 @@ class SketchOperator:
         return X
 
     def apply(self, X):
-        raise NotImplementedError
-
-    def apply_transpose(self, Y):
-        raise NotImplementedError
-
-    def materialize(self) -> np.ndarray:
-        """Dense m x M matrix of the operator (testing / small sizes only)."""
-        return self.apply(np.eye(self.spec.M))
-
-
-class GaussianSketch(SketchOperator):
-    def __init__(self, spec: SketchSpec, matrix: np.ndarray):
-        super().__init__(spec)
-        self.matrix = matrix
-
-    @classmethod
-    def from_spec(cls, spec: SketchSpec) -> "GaussianSketch":
-        rng = _spec_rng(spec)
-        matrix = rng.standard_normal((spec.m, spec.M)) / math.sqrt(spec.m)
-        return cls(spec, matrix)
-
-    def apply(self, X):
         X = self._check_rows(X, self.spec.M, "input")
         return self.matrix @ X
 
     def apply_transpose(self, Y):
         Y = self._check_rows(Y, self.spec.m, "input")
         return self.matrix.T @ Y
+
+    def materialize(self) -> np.ndarray:
+        """Dense m x M matrix of the operator (testing / small sizes only)."""
+        return self.apply(np.eye(self.spec.M))
 
 
 class RosSketch(SketchOperator):
@@ -143,21 +133,14 @@ class RosSketch(SketchOperator):
     Inputs are zero-padded to the next power of two; the combined scaling
     1/sqrt(m) makes E[Phi^T Phi] = I on the unpadded coordinates, and the
     full-sampling case m = M = M_pad gives an exactly orthogonal operator.
+    Phi is never formed.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
-        super().__init__(spec)
+        super().__init__(spec, matrix=None)
         self.signs = signs  # +/-1 per input coordinate, length M
         self.rows = rows  # sampled transform rows, length m, drawn from M_pad
         self.m_pad = next_pow_two(spec.M)
-
-    @classmethod
-    def from_spec(cls, spec: SketchSpec) -> "RosSketch":
-        rng = _spec_rng(spec)
-        m_pad = next_pow_two(spec.M)
-        signs = rng.integers(0, 2, size=spec.M) * 2.0 - 1.0
-        rows = rng.choice(m_pad, size=spec.m, replace=False)
-        return cls(spec, signs, rows)
 
     def apply(self, X):
         X = self._check_rows(X, self.spec.M, "input")
@@ -178,53 +161,29 @@ class RosSketch(SketchOperator):
         return out.reshape(-1) if flat else out
 
 
-class CountSketch(SketchOperator):
-    """One +/-1 entry per column; applies in time proportional to nnz.
-
-    The matrix is held in CSC form, one entry per column with ``rows`` as its
-    row indices, so building it sorts nothing. Applying it reads X row by
-    row in order and adds each row into the small m-row output.
-    CSR gathers the rows of X in random order instead, at a speed that moves
-    with where X's pages land in memory. Each output row sums its terms in
-    the same order either way, so the result is bit-identical.
-    """
-
-    def __init__(self, spec: SketchSpec, rows: np.ndarray, signs: np.ndarray):
-        super().__init__(spec)
-        self.rows = rows
-        self.signs = signs
-        self._matrix = sparse.csc_matrix(
-            (signs.astype(float), rows, np.arange(spec.M + 1)), shape=(spec.m, spec.M)
-        )
-
-    @classmethod
-    def from_spec(cls, spec: SketchSpec) -> "CountSketch":
-        rng = _spec_rng(spec)
-        rows = rng.integers(0, spec.m, size=spec.M)
-        signs = rng.integers(0, 2, size=spec.M) * 2.0 - 1.0
-        return cls(spec, rows, signs)
-
-    def apply(self, X):
-        X = self._check_rows(X, self.spec.M, "input")
-        return self._matrix @ X
-
-    def apply_transpose(self, Y):
-        Y = self._check_rows(Y, self.spec.m, "input")
-        return self._matrix.T @ Y
-
-
-_FACTORIES = {"gaussian": GaussianSketch, "ros": RosSketch, "count": CountSketch}
+def _count_matrix(m: int, rows: np.ndarray, signs: np.ndarray) -> sparse.csc_matrix:
+    """m-row CSC matrix whose column j holds ``signs[j]`` in row ``rows[j]``."""
+    return sparse.csc_matrix((signs, rows, np.arange(len(rows) + 1)), shape=(m, len(rows)))
 
 
 def make_sketch(spec: SketchSpec) -> SketchOperator:
     """Realize the operator described by ``spec``."""
-    return _FACTORIES[spec.kind].from_spec(spec)
+    rng = _spec_rng(spec)
+    if spec.kind == "gaussian":
+        return SketchOperator(spec, rng.standard_normal((spec.m, spec.M)) / math.sqrt(spec.m))
+    if spec.kind == "ros":
+        signs = rng.integers(0, 2, size=spec.M) * 2.0 - 1.0
+        rows = rng.choice(next_pow_two(spec.M), size=spec.m, replace=False)
+        return RosSketch(spec, signs, rows)
+    rows = rng.integers(0, spec.m, size=spec.M)
+    signs = rng.integers(0, 2, size=spec.M) * 2.0 - 1.0
+    return SketchOperator(spec, _count_matrix(spec.m, rows, signs))
 
 
-def identity_sketch(M: int) -> CountSketch:
+def identity_sketch(M: int) -> SketchOperator:
     """The exact identity as a (degenerate) count-sketch realization."""
     spec = SketchSpec(kind="count", m=M, M=M, seed=0)
-    return CountSketch(spec, rows=np.arange(M), signs=np.ones(M))
+    return SketchOperator(spec, _count_matrix(M, np.arange(M), np.ones(M)))
 
 
 def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> float:

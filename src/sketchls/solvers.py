@@ -76,7 +76,8 @@ class GramSolver:
             self._svd = None
         except np.linalg.LinAlgError as exc:
             self._cho = None
-            _, s_thin, Vt = np.linalg.svd(P, full_matrices=True)
+            # R of a QR has P's singular values and V, without P's m x m left factor
+            _, s_thin, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))
             s = np.zeros(P.shape[1])
             s[: len(s_thin)] = s_thin
             if self.mu == 0.0 and (s[0] == 0.0 or s[-1] <= RANK_REL_TOL * s[0]):
