@@ -8,7 +8,6 @@ benchmark harness for accuracy/speed comparisons.
 from .core import (
     LSProblem,
     SolverReport,
-    SpectralData,
     eps_optimality,
     make_report,
     profile_quantile,

@@ -1,8 +1,8 @@
 """Problem containers, dense factorization contracts, and accuracy metrics.
 
 Everything here is uncompressed-side machinery: the least-squares instance
-itself, full solves used as references, singular-value data of (sketched)
-matrices, and the metrics every solver is judged by.
+itself, full solves used as references, and the metrics every solver is
+judged by.
 """
 
 from __future__ import annotations
@@ -102,41 +102,6 @@ class LSProblem:
     def condition_number(self) -> float:
         svals = svdvals(self._r_aug[: self.N, : self.N], check_finite=False)
         return float(svals[0] / svals[-1])
-
-
-@dataclass(eq=False)
-class SpectralData:
-    """Singular values and right singular vectors of an m x N matrix P
-    (m >= N): ``P^T P = V diag(sigma^2) V^T``.
-
-    ``sigma`` is descending and may contain zeros; ``V`` is square N x N.
-    The left factor is never formed.
-    """
-
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.V = _as_matrix(self.V)
-        self.sigma = _as_vector(self.sigma, name="sigma")
-        N = self.sigma.shape[0]
-        if self.V.shape != (N, N):
-            raise DimensionError("inconsistent SVD factor shapes")
-        if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
-            raise ValueError("singular values must be nonnegative and descending")
-
-    @classmethod
-    def from_matrix(cls, P) -> "SpectralData":
-        """sigma and V from the SVD of the N x N R of a QR of P, which has
-        the same singular values and right singular vectors."""
-        P = _as_matrix(P)
-        m, N = P.shape
-        if m < N:
-            raise DimensionError(
-                f"spectral data needs at least as many rows as columns, got {P.shape}"
-            )
-        _, sigma, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))
-        return cls(sigma=sigma, V=Vt.T)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -53,7 +54,8 @@ def _partial_rhs(problem, sp, opts, gram):
 
 
 def _rpc(problem, sp, opts, _):
-    return solve_rpc_sketched(sp, float(np.linalg.norm(problem.b)), RpcParams(rho=opts.rho)).x
+    # b_norm is not read by the solve
+    return solve_rpc_sketched(sp, 0.0, RpcParams(rho=opts.rho)).x
 
 
 # Every method in run order, as (needs a sketch, factor step, solve step).
@@ -279,8 +281,12 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.timing_repeats < 1:
             raise ValueError("timing_repeats must be at least 1")
-        if self.mu != "auto" and float(self.mu) < 0:
-            raise ValueError("mu must be nonnegative or 'auto'")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("rho must be finite and nonnegative")
+        if self.mu != "auto" and not 0.0 <= float(self.mu) < math.inf:
+            raise ValueError("mu must be finite and nonnegative, or 'auto'")
+        if not 0.0 < self.lsqr_tol < math.inf:
+            raise ValueError("lsqr_tol must be finite and positive")
 
     def validate_grid(self, problem: LSProblem):
         for m in self.m_values:

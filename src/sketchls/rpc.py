@@ -6,13 +6,13 @@ over Frobenius-bounded perturbations ``||dP||_F <= rho`` of the sketched
 matrix, which collapses to the convex scalar-structured objective
 ``0.5 (||P x|| + rho ||x||)^2 - c^T x``.
 
-At the optimum ``x`` is a ridge solution ``(gamma P^T P + rho I)^{-1} c`` up
-to scale, with ``gamma = ||x|| / ||P x||``. In the right singular basis of
-P the two norm identities of the optimum combine into one monotone scalar
-equation in gamma, solved by the shared safeguarded Newton root finder;
-the dual value ``tau = ||P x|| + rho ||x||`` and x then follow in closed
-form. Rank-deficient sketched matrices are supported, including the corner
-where the optimum annihilates ``P x``.
+At the optimum ``x`` is a ridge solution ``(P^T P + rho s I)^{-1} c`` up to
+scale, with ``s = ||P x|| / ||x||``. In the right singular basis of P the
+two norm identities of the optimum combine into one increasing scalar
+equation in s on ``[0, sigma_max]``, solved by a safeguarded Newton root
+finder; the dual value ``tau = ||P x|| + rho ||x||`` and x then follow in
+closed form. Rank-deficient sketched matrices are supported: the corner
+where the optimum annihilates ``P x`` is the end s = 0 of the same equation.
 
 Robust full compression is the same problem on the augmented matrix
 ``[P q]`` (see :func:`solve_robust_cls`), so one scalar solve serves both.
@@ -20,9 +20,8 @@ Robust full compression is the same problem on the augmented matrix
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .solvers import SketchedProblem, _norm, solve_cls, solve_pcls, solve_ridge_
 class RpcParams:
     """Tolerances and iteration caps for the robust partially-compressed solver.
 
-    ``eps`` bounds the gap ``|gamma ||P x|| / ||x|| - 1|`` checked after the
+    ``eps`` bounds the gap ``|||P x|| / (s ||x||) - 1|`` checked after the
     scalar solve that ``newton_tol`` and ``max_newton`` drive.
     """
 
@@ -46,8 +45,8 @@ class RpcParams:
     max_newton: int = 100
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("rho must be finite and nonnegative")
         if not (0.0 < self.eps < 1.0) or not (0.0 < self.newton_tol < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
         if self.max_newton < 1:
@@ -59,10 +58,10 @@ class RpcSolution:
     """Solution and diagnostics of one robust partially-compressed solve.
 
     ``alpha`` and ``beta`` are the norms of ``P x`` and ``x``; at
-    convergence ``tau = alpha + rho * beta`` and ``gamma = beta / alpha``
-    (``gamma`` is infinite in the rank-deficient corner where ``P x = 0``).
-    ``outer_iters`` is 1 for a scalar solve and 0 for the closed-form exits;
-    ``newton_iters_total`` counts the Newton steps of that solve.
+    convergence ``tau = alpha + rho * beta`` and ``gamma = beta / alpha = 1 / s``
+    (``gamma`` is infinite in the rank-deficient corner s = 0, where ``P x = 0``).
+    ``outer_iters`` is 1 for a scalar solve and 0 for the corner and the
+    closed-form exits; ``newton_iters_total`` counts the Newton steps of that solve.
     """
 
     x: np.ndarray
@@ -76,20 +75,7 @@ class RpcSolution:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "outer_iters": self.outer_iters,
-            "newton_iters_total": self.newton_iters_total,
-            "foc_residual": self.foc_residual,
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return {**asdict(self), "x": [float(v) for v in self.x]}
 
 
 def worst_case_objective(P, x, rho: float) -> float:
@@ -141,28 +127,32 @@ def stationarity_residual(sp: SketchedProblem, x, rho: float) -> float:
 
 
 def _increasing_root(f, hi, tol, max_iter):
-    """Root of an increasing scalar function on [0, inf) with ``f(0) < 0``.
+    """Root of an increasing scalar function on [0, hi] with ``f(hi) >= 0``,
+    or 0 when ``f(0) >= 0``.
 
-    ``f(t)`` returns ``(value, slope, scale)``. ``hi`` doubles until
-    ``f(hi) > 0``, and is returned as the root (after 0 Newton steps) if
-    one of those points already has ``|value| <= tol * scale``. Otherwise
-    Newton steps, replaced by bisection whenever one leaves the bracket,
-    run until ``|value| <= tol * scale``. Returns
-    ``(root, newton_iterations)``. Raises :class:`ConvergenceError` with the
-    last point as ``last_iterate`` when either stage exhausts its budget;
+    ``f(s)`` returns ``(value, slope, scale)``. The lower end ``lo`` halves
+    from ``hi`` until ``f(lo) < 0``, and is returned as the root (after 0
+    Newton steps) if one of those points already has ``|value| <= tol *
+    scale``. Otherwise Newton steps, replaced by bisection whenever one
+    leaves the bracket, run until ``|value| <= tol * scale``; the halvings
+    do not count against ``max_iter``. Returns ``(root,
+    newton_iterations)``. Raises :class:`ConvergenceError` with the last
+    point as ``last_iterate`` when either stage exhausts its budget;
     ``diagnostics["bracketed"]`` says which.
     """
-    lo = 0.0
+    if f(0.0)[0] >= 0.0:
+        return 0.0, 0
+    lo = hi
     for _ in range(400):
-        value, _, scale = f(hi)
+        value, _, scale = f(lo)
         if abs(value) <= tol * scale:
-            return hi, 0
-        if value > 0:
+            return lo, 0
+        if value < 0:
             break
-        lo, hi = hi, 2.0 * hi
+        lo, hi = 0.5 * lo, lo
     else:
         raise ConvergenceError(
-            "root beyond bracketing range", last_iterate=hi, diagnostics={"bracketed": False}
+            "root beyond bracketing range", last_iterate=lo, diagnostics={"bracketed": False}
         )
     t = 0.5 * (lo + hi)
     for k in range(1, max_iter + 1):
@@ -187,31 +177,14 @@ def _pow2(v: float) -> float:
     return math.ldexp(1.0, math.frexp(v)[1])
 
 
-def _null_cone_coords(sigma, rhs_coeffs, rho, zero_mask):
-    """Closed-form optimum (in V coordinates) when the minimizer
-    annihilates P, or None when that corner is not optimal.
-
-    With coefficients split across positive singular values (R) and zero
-    ones (Z), the point supported on Z alone is optimal iff
-    ``sum_R (bb_i / sigma_i)^2 <= ||bb_Z||^2 / rho^2``.
-    """
-    bz_sq = float(np.sum(rhs_coeffs[zero_mask] ** 2))
-    if bz_sq == 0.0:
-        return None
-    head = rhs_coeffs[~zero_mask] / sigma[~zero_mask]
-    if float(np.sum(head**2)) > bz_sq / rho**2:
-        return None
-    return np.where(zero_mask, rhs_coeffs, 0.0) / rho**2
-
-
 def solve_rpc_sketched(
     sp: SketchedProblem, b_norm: float, params: RpcParams | None = None
 ) -> RpcSolution:
     """Robust partially-compressed solver operating directly on sketched data.
 
-    Solves one monotone equation in gamma (see the module docstring) and
-    raises :class:`ConvergenceError`, with gamma and the normalization gap
-    in ``diagnostics``, when that solve fails or its gap exceeds
+    Solves one increasing equation in s (see the module docstring) and
+    raises :class:`ConvergenceError`, with gamma = 1/s and the normalization
+    gap in ``diagnostics``, when that solve fails or its gap exceeds
     ``params.eps``. ``b_norm``, the norm of the uncompressed right-hand
     side, is accepted for compatibility and no longer read.
     """
@@ -238,71 +211,65 @@ def solve_rpc_sketched(
             outer_iters=0, newton_iters_total=0, foc_residual=foc, converged=True,
         )
 
-    # h below is homogeneous in (sigma, rho) and in bbar, so it is solved in
+    # g below is homogeneous in (sigma, s, rho) and in bbar, so it is solved in
     # units of sigma_max and ||c||, rounded up to powers of two: every square
     # then stays in range, and scaling back is exact
-    spectral = sp.spectral
-    s, t = _pow2(float(spectral.sigma[0])), _pow2(c_norm)
-    sigma, V, r = spectral.sigma / s, spectral.V, rho / s
-    x_unit = t / s / s
-    zero_mask = sigma <= RANK_REL_TOL * sigma[0]
-    bbar = V.T @ (c / t)
+    sigma, V = sp.spectral
+    ps, pc = _pow2(float(sigma[0])), _pow2(c_norm)
+    sigma, r = sigma / ps, rho / ps
+    bbar = V.T @ (c / pc)
+    keep = sigma > RANK_REL_TOL * sigma[0]
 
-    u_null = _null_cone_coords(sigma, bbar, r, zero_mask)
-    if u_null is not None:
-        x_null = x_unit * (V @ u_null)
-        beta = _norm(u_null)
-        tau = r * beta
-        # subgradient certificate, all in V coordinates: the multiplier on
-        # the ||P x|| term picks up bbar across the positive singular values
-        w = np.zeros_like(bbar)
-        w[~zero_mask] = bbar[~zero_mask] / (tau * sigma[~zero_mask])
-        foc = _norm(tau * (sigma * w + r * u_null / beta) - bbar)
-        return RpcSolution(
-            x=x_null, alpha=_norm(sp.P @ x_null), beta=x_unit * beta,
-            tau=t / s * tau, gamma=math.inf,
-            outer_iters=0, newton_iters_total=0, foc_residual=t * foc, converged=True,
-        )
+    # At the optimum x = V u / (s + r) up to the units, with u = s bbar / (d + r s)
+    # and tau = ||u|| = ||sigma u|| / s. Eliminating tau leaves
+    # g(s) = sum bbar^2 (s^2 - d) / (d + r s)^2, increasing from its value at the
+    # null corner s = 0 to g(sigma_max) >= 0. A singular value under the rank
+    # rule counts as zero, here and in the gap check below: it adds the
+    # constant bbar^2 / r^2 to g, and has u = bbar / r.
+    d, b2 = sigma[keep] ** 2, bbar[keep] ** 2
+    null = float(np.sum(bbar[~keep] ** 2)) / r**2
 
-    # At the optimum tau = ||u|| = gamma ||sigma u|| with u = bbar / (gamma d + rho).
-    # Eliminating tau leaves h(gamma) = sum bbar^2 (1 - gamma^2 d) / (gamma d + rho)^2,
-    # which falls from ||bbar||^2 / rho^2 to a negative limit off the null
-    # corner. Singular values under the rank rule count as zero, here and in
-    # the gap check below, so that the limits agree exactly.
-    sigma = np.where(zero_mask, 0.0, sigma)
-    d = sigma**2
-    bb2 = bbar**2
-
-    def neg_h(gamma):
-        den = gamma * d + r
-        head, tail = bb2 / den**2, bb2 * d * (gamma / den) ** 2
-        slope = 2.0 * float(np.sum(bb2 * d * (gamma * r + 1.0) / den**3))
-        return float(np.sum(tail - head)), slope, float(np.sum(head + tail))
+    def g(s):
+        den = d + r * s
+        coef = b2 / den**2
+        value = null + float(np.sum(coef * (s * s - d)))
+        slope = 2.0 * float(np.sum(coef * d * (s + r) / den))
+        return value, slope, null + float(np.sum(coef * (s * s + d)))
 
     try:
-        gamma, newton_total = _increasing_root(
-            neg_h, 1.0 / float(sigma[0]), params.newton_tol, params.max_newton
+        s, newton_total = _increasing_root(
+            g, float(sigma[0]), params.newton_tol, params.max_newton
         )
         failure = None
     except ConvergenceError as exc:
-        gamma, failure = exc.last_iterate, exc
-    u = bbar / (gamma * d + r)
+        s, failure = exc.last_iterate, exc
+    u = bbar / r
+    u[keep] = s * bbar[keep] / (d + r * s)
     tau = _norm(u)
-    gap = gamma * _norm(sigma * u) / tau - 1.0
+    gamma = 1.0 / (s * ps) if s > 0 else math.inf
+    gap = _norm(sigma[keep] * u[keep]) / (s * tau) - 1.0 if s > 0 else 0.0
     if failure is not None or not abs(gap) <= params.eps:
         raise ConvergenceError(
             f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
-            last_iterate=(t / s * tau, gamma / s),
-            diagnostics={"gamma": gamma / s, "gap": gap},
+            last_iterate=(pc / ps * tau, gamma),
+            diagnostics={"gamma": gamma, "gap": gap},
         ) from failure
 
-    alpha = tau / (1.0 + r * gamma)
-    beta = gamma * alpha
-    x = (x_unit * beta / tau) * (V @ u)
-    foc = stationarity_residual(sp, x, rho)
+    x = (pc / ps / ps / (s + r)) * (V @ u)
+    alpha = _norm(sp.P @ x)
+    if s > 0 and alpha > 0:
+        foc = stationarity_residual(sp, x, rho)
+    else:
+        # the gradient is undefined where P x vanishes (at s = 0, or where
+        # P x rounds to 0 near it): subgradient certificate, all in V
+        # coordinates, where the multiplier on the ||P x|| term picks up
+        # bbar across the positive singular values
+        w = np.zeros_like(bbar)
+        w[keep] = bbar[keep] / (tau * sigma[keep])
+        foc = pc * _norm(tau * sigma * w + r * u - bbar)
     return RpcSolution(
-        x=x, alpha=_norm(sp.P @ x), beta=_norm(x),
-        tau=t / s * tau, gamma=gamma / s, outer_iters=1, newton_iters_total=newton_total,
+        x=x, alpha=alpha, beta=_norm(x), tau=pc / ps * tau, gamma=gamma,
+        outer_iters=int(s > 0), newton_iters_total=newton_total,
         foc_residual=foc, converged=True,
     )
 
@@ -311,8 +278,8 @@ def solve_rpc(
     problem: LSProblem, op: SketchOperator, params: RpcParams | None = None
 ) -> RpcSolution:
     """Sketch the problem with ``op`` and run :func:`solve_rpc_sketched`."""
-    sp = SketchedProblem.from_problem(problem, op)
-    return solve_rpc_sketched(sp, _norm(problem.b), params)
+    # b_norm is not read by the solve
+    return solve_rpc_sketched(SketchedProblem.from_problem(problem, op), 0.0, params)
 
 
 def robust_cls_objective(P, q, x, rho: float) -> float:

@@ -102,8 +102,8 @@ class SketchOperator:
     the same order either way, so the result is bit-identical.
     """
 
-    def __init__(self, spec: SketchSpec, matrix):
-        self.spec = spec
+    def __init__(self, spec: SketchSpec | None, matrix):
+        self.spec = spec  # None when no spec realizes this operator
         self.matrix = matrix
 
     def _check_rows(self, X, rows, name):
@@ -115,16 +115,16 @@ class SketchOperator:
         return X
 
     def apply(self, X):
-        X = self._check_rows(X, self.spec.M, "input")
+        X = self._check_rows(X, self.matrix.shape[1], "input")
         return self.matrix @ X
 
     def apply_transpose(self, Y):
-        Y = self._check_rows(Y, self.spec.m, "input")
+        Y = self._check_rows(Y, self.matrix.shape[0], "input")
         return self.matrix.T @ Y
 
     def materialize(self) -> np.ndarray:
         """Dense m x M matrix of the operator (testing / small sizes only)."""
-        return self.apply(np.eye(self.spec.M))
+        return self.apply(np.eye(self.spec.M if self.matrix is None else self.matrix.shape[1]))
 
 
 class RosSketch(SketchOperator):
@@ -181,9 +181,9 @@ def make_sketch(spec: SketchSpec) -> SketchOperator:
 
 
 def identity_sketch(M: int) -> SketchOperator:
-    """The exact identity as a (degenerate) count-sketch realization."""
-    spec = SketchSpec(kind="count", m=M, M=M, seed=0)
-    return SketchOperator(spec, _count_matrix(M, np.arange(M), np.ones(M)))
+    """The exact M x M identity, held like a count sketch. No spec realizes
+    it, so its ``spec`` is None."""
+    return SketchOperator(None, _count_matrix(M, np.arange(M), np.ones(M)))
 
 
 def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> float:

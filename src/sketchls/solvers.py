@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular
 
-from .core import RANK_REL_TOL, LSProblem, SpectralData, _as_matrix, _as_vector, solve_ols
+from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, solve_ols
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
 from .sketch import SketchOperator
 
@@ -51,8 +51,24 @@ class SketchedProblem:
         return self.P.shape[1]
 
     @cached_property
-    def spectral(self) -> SpectralData:
-        return SpectralData.from_matrix(self.P)
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma, V)`` with ``P^T P = V diag(sigma^2) V^T``: sigma
+        descending, possibly with zeros, and V square N x N."""
+        if self.m < self.N:
+            raise DimensionError(
+                f"spectral data needs at least as many rows as columns, got {self.P.shape}"
+            )
+        return _sigma_v(self.P)
+
+
+def _sigma_v(P) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of P, zero-padded to N, and its N x N right singular
+    vectors, from the SVD of the R of a QR of P: the same values and
+    vectors, without P's m x m left factor."""
+    _, s_thin, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))
+    sigma = np.zeros(P.shape[1])
+    sigma[: len(s_thin)] = s_thin
+    return sigma, Vt.T
 
 
 class GramSolver:
@@ -65,21 +81,18 @@ class GramSolver:
 
     def __init__(self, P, mu: float = 0.0):
         P = _as_matrix(P)
-        if mu < 0:
-            raise ValueError("regularization parameter must be nonnegative")
         self.mu = float(mu)
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError("regularization parameter must be finite and nonnegative")
         gram = P.T @ P
-        if mu > 0:
-            gram = gram + mu * np.eye(P.shape[1])
+        if self.mu > 0:
+            gram = gram + self.mu * np.eye(P.shape[1])
         try:
             self._cho = cho_factor(gram)
             self._svd = None
         except np.linalg.LinAlgError as exc:
             self._cho = None
-            # R of a QR has P's singular values and V, without P's m x m left factor
-            _, s_thin, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))
-            s = np.zeros(P.shape[1])
-            s[: len(s_thin)] = s_thin
+            s, V = _sigma_v(P)
             if self.mu == 0.0 and (s[0] == 0.0 or s[-1] <= RANK_REL_TOL * s[0]):
                 raise SingularMatrixError(
                     "sketched Gram matrix is numerically singular "
@@ -91,7 +104,7 @@ class GramSolver:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            self._svd = (Vt.T, s)
+            self._svd = (V, s)
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -123,7 +136,7 @@ def solve_ridge_pcls(sp: SketchedProblem, mu: float) -> np.ndarray:
 
 def default_mu(sp: SketchedProblem, factor: float = 5.0) -> float:
     """Default ridge weight: ``factor`` times the smallest eigenvalue of P^T P."""
-    return float(factor) * float(sp.spectral.sigma[-1]) ** 2
+    return float(factor) * float(sp.spectral[0][-1]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +187,8 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     """
     A = _as_matrix(A)
     b = _as_vector(b, length=A.shape[0], name="b")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
 
     if R is None:
         solve_R = solve_Rt = lambda z: z

@@ -9,7 +9,7 @@ from sketchls import (
     DimensionError,
     LSProblem,
     RankDeficientError,
-    SpectralData,
+    SketchedProblem,
     eps_optimality,
     make_report,
     profile_quantile,
@@ -159,6 +159,11 @@ class TestProfile:
             relative_residual_profile([1.0, -0.5])
 
 
+def spectral(P):
+    """``SketchedProblem.spectral`` of P, as (sigma, V)."""
+    return SketchedProblem(P=P, q=np.zeros(P.shape[0]), c=np.zeros(P.shape[1])).spectral
+
+
 class TestSpectralData:
     def test_round_trip(self):
         # sigma and V come from the R of a QR of P; at m = N and m = N + 1 an
@@ -167,16 +172,16 @@ class TestSpectralData:
         inputs = [rng.standard_normal(shape) for shape in ((40, 6), (6, 6), (7, 6), (12, 5))]
         inputs[-1][:, 2] = 0.0  # rank deficient
         for P in inputs:
-            sd = SpectralData.from_matrix(P)
-            tol = 1e-12 * sd.sigma[0]
-            assert_allclose(sd.sigma, svdvals(P), rtol=0.0, atol=tol)
-            assert_allclose(np.linalg.norm(P @ sd.V, axis=0), sd.sigma, rtol=0.0, atol=tol)
-            assert np.abs(sd.V.T @ sd.V - np.eye(P.shape[1])).max() <= 1e-12
-            assert np.all(np.diff(sd.sigma) <= 0) and np.all(sd.sigma >= 0)
+            sigma, V = spectral(P)
+            tol = 1e-12 * sigma[0]
+            assert_allclose(sigma, svdvals(P), rtol=0.0, atol=tol)
+            assert_allclose(np.linalg.norm(P @ V, axis=0), sigma, rtol=0.0, atol=tol)
+            assert np.abs(V.T @ V - np.eye(P.shape[1])).max() <= 1e-12
+            assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
 
     def test_requires_tall_matrix(self):
         with pytest.raises(DimensionError):
-            SpectralData.from_matrix(np.ones((2, 5)))
+            spectral(np.ones((2, 5)))
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import json
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -183,6 +184,25 @@ class TestExperimentConfig:
             quick_config(methods=("simplex",))
         with pytest.raises(ValueError):
             quick_config(sketch_kinds=("fourier",))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rho": math.nan},
+            {"rho": math.inf},
+            {"rho": -1.0},
+            {"mu": math.nan},
+            {"mu": math.inf},
+            {"mu": -1.0},
+            {"lsqr_tol": math.nan},
+            {"lsqr_tol": math.inf},
+            {"lsqr_tol": 0.0},
+            {"lsqr_tol": -1.0},
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            quick_config(**kwargs)
 
     def test_grid_bounds_checked_against_problem(self):
         cfg = quick_config(m_values=(4,))  # below N

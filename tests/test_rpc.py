@@ -50,6 +50,8 @@ class TestParams:
             {"newton_tol": 0.0},
             {"max_newton": 0},
             {"newton_tol": 1.0},
+            {"rho": math.nan},
+            {"rho": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -284,6 +286,33 @@ class TestSolveRpc:
         for _ in range(200):
             probe = sol.x * (1.0 + 1e-3 * rng.standard_normal(3))
             assert rpc_objective(sp, probe, 1.0) >= f_star - 1e-12
+
+    def test_near_the_null_corner(self):
+        # diagonal P with exact zeros and ||c_Z|| just under the corner
+        # threshold rho sqrt(sum_R c^2 / sigma^2): s = ||P x|| / ||x|| sits
+        # near 0, so the bracket's lower end halves many times below sigma_max
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            N = int(rng.integers(2, 9))
+            k = int(rng.integers(1, N))
+            m = N + int(rng.integers(0, 4))
+            sigma = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 11.99), N)
+            sigma[N - k:] = 0.0
+            P = np.zeros((m, N))
+            P[np.arange(N), np.arange(N)] = sigma
+            rho = float(10.0 ** rng.uniform(-3, 3))
+            c = rng.standard_normal(N)
+            threshold = rho * np.sqrt(np.sum(c[: N - k] ** 2 / sigma[: N - k] ** 2))
+            shrink = 1.0 - 10.0 ** -rng.uniform(1, 15.5)
+            c[N - k:] *= threshold * shrink / np.linalg.norm(c[N - k:])
+            sp = SketchedProblem(P=P, q=np.zeros(m), c=c)
+            sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=rho))
+            assert math.isfinite(sol.gamma)
+            assert sol.foc_residual <= 1e-8 * np.linalg.norm(c)
+            f_star = rpc_objective(sp, sol.x, rho)
+            for _ in range(50):
+                probe = sol.x * (1.0 + 1e-3 * rng.standard_normal(N))
+                assert rpc_objective(sp, probe, rho) >= f_star - 1e-12 * abs(f_star)
 
     def test_one_column_root_found_while_bracketing(self):
         # for N = 1 the root is exactly the starting point 1/sigma_max, and

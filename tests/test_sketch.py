@@ -85,6 +85,15 @@ class TestApply:
         X = np.random.default_rng(0).standard_normal((5, 2))
         assert np.array_equal(op.apply(X), X)
 
+    @pytest.mark.parametrize("kind", KINDS + (None,))
+    def test_spec_realizes_the_operator(self, kind):
+        # an operator either has no spec or is exactly what its spec realizes
+        op = identity_sketch(6) if kind is None else make_sketch(SketchSpec(kind, 4, 6, 3))
+        assert op.spec is None or (
+            make_sketch(op.spec).materialize().tobytes() == op.materialize().tobytes()
+        )
+        assert op.materialize().shape == ((6, 6) if kind is None else (4, 6))
+
     def test_gaussian_norm_is_unbiased(self):
         # Monte-Carlo estimate of E ||Phi v||^2 = 1 over many seeds
         M, m = 64, 32

@@ -124,7 +124,7 @@ class TestRidge:
     def test_small_mu_matches_unregularized(self):
         problem = random_problem(np.random.default_rng(8), 60, 4)
         sp, _ = sketched(problem, m=24, seed=9)
-        mu = 1e-12 * sp.spectral.sigma[0] ** 2
+        mu = 1e-12 * sp.spectral[0][0] ** 2
         assert_allclose(solve_ridge_cls(sp, mu), solve_cls(sp), rtol=1e-6)
         assert_allclose(solve_ridge_pcls(sp, mu), solve_pcls(sp), rtol=1e-6)
 
@@ -152,6 +152,13 @@ class TestRidge:
         sp = SketchedProblem(P=np.eye(2), q=np.ones(2), c=np.ones(2))
         with pytest.raises(ValueError):
             solve_ridge_cls(sp, -1.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_nonfinite_mu(self, mu):
+        sp = SketchedProblem(P=np.eye(2), q=np.ones(2), c=np.ones(2))
+        for solve in (solve_ridge_cls, solve_ridge_pcls):
+            with pytest.raises(ValueError):
+                solve(sp, mu)
 
 
 class TestDefaultMu:
@@ -251,6 +258,12 @@ class TestRobustCls:
         with pytest.raises(ValueError):
             solve_robust_cls(sp, -0.1)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_nonfinite_rho(self, rho):
+        sp = SketchedProblem(P=np.eye(2), q=np.ones(2), c=np.ones(2))
+        with pytest.raises(ValueError):
+            solve_robust_cls(sp, rho)
+
     @pytest.mark.parametrize("consistent", [False, True])
     def test_rank_deficient_sketch(self, consistent):
         # a zero column gives P a zero singular value, which the mu = 0
@@ -273,6 +286,12 @@ class TestRobustCls:
 
 
 class TestBlendenpik:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_rejects_bad_tolerance(self, tol):
+        problem = random_problem(np.random.default_rng(20), 30, 3)
+        with pytest.raises(ValueError):
+            preconditioned_lsqr(problem.A, problem.b, tol=tol)
+
     def test_identity_sketch_preconditions_exactly(self):
         problem, _ = planted_problem(np.random.default_rng(15), 80, 6, condition=1e3)
         P = identity_sketch(problem.M).apply(problem.A)
