@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular, svdvals
+from scipy.linalg import cho_factor, cho_solve, norm, qr, solve_triangular, svdvals
 
 from .exceptions import (
     DegenerateInstanceError,
@@ -37,6 +37,12 @@ def _as_vector(v, length=None, name="vector") -> np.ndarray:
     if length is not None and v.shape[0] != length:
         raise DimensionError(f"{name} has length {v.shape[0]}, expected {length}")
     return v
+
+
+def _norm(v) -> float:
+    """Euclidean norm by BLAS ``nrm2``, which scales as it sums: it under- or
+    overflows only where the norm itself does, unlike ``sqrt(sum(v**2))``."""
+    return float(norm(v, check_finite=False))
 
 
 @dataclass(eq=False)
@@ -85,7 +91,7 @@ class LSProblem:
 
     def _residual_norm(self, x) -> float:
         """``||A x - b||`` from the factor, without a pass over A."""
-        return float(np.linalg.norm(self._r_aug @ np.append(np.asarray(x, dtype=float), -1.0)))
+        return _norm(self._r_aug @ np.append(np.asarray(x, dtype=float), -1.0))
 
     @property
     def shape(self):
@@ -156,10 +162,10 @@ def eps_optimality(xhat, problem: LSProblem, x_ls) -> float:
     xhat = _as_vector(xhat, length=problem.N, name="xhat")
     x_ls = _as_vector(x_ls, length=problem.N, name="x_ls")
     R = problem._r_aug[: problem.N, : problem.N]
-    denom = float(np.linalg.norm(R @ x_ls))
+    denom = _norm(R @ x_ls)
     if denom == 0.0:
         raise DegenerateInstanceError("||A x_ls|| is zero; ratio undefined")
-    return float(np.linalg.norm(R @ (xhat - x_ls))) / denom
+    return _norm(R @ (xhat - x_ls)) / denom
 
 
 def relative_residual_profile(residuals):
@@ -196,7 +202,7 @@ def make_report(problem: LSProblem, x_ls, xhat, method: str, timings=None) -> So
         rel_acc = residual / residual_ls - 1.0
     else:
         # consistent system: any nonzero residual is infinitely worse
-        rel_acc = 0.0 if residual <= 1e-12 * float(np.linalg.norm(problem.b)) else float("inf")
+        rel_acc = 0.0 if residual <= 1e-12 * _norm(problem.b) else float("inf")
     return SolverReport(
         method=method,
         residual_norm=residual,

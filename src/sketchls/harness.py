@@ -135,8 +135,8 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
             A[N:] = 1e-8 * rng.standard_normal((M - N, N))
 
     x_star = rng.standard_normal(N)
-    scale = float(np.linalg.norm(A @ x_star))
     b = A @ x_star
+    scale = float(np.linalg.norm(b))
     if residual_fraction > 0:
         raw = rng.standard_normal(M)
         coef, *_ = np.linalg.lstsq(A, raw, rcond=None)
@@ -434,17 +434,14 @@ def run_experiment(config: ExperimentConfig, out_path=None):
 
 def _run_cell(problem, config, x_ls, chash, method, kind, m, trial, seed):
     try:
-        x = None
-        best = None
-        runs = config.timing_repeats + 1  # first run warms caches and is discarded
-        for rep in range(runs):
-            x, timings = _run_pipeline(problem, config, method, kind, m, seed)
-            if rep == 0 and runs > 1:
-                continue
-            if best is None:
-                best = timings
-            else:
-                best = {k: min(best[k], timings[k]) for k in best}
+        # the first run warms caches and is discarded; each phase keeps its
+        # best time over the rest
+        runs = [
+            _run_pipeline(problem, config, method, kind, m, seed)
+            for _ in range(config.timing_repeats + 1)
+        ][1:]
+        x = runs[-1][0]
+        best = {phase: min(t[phase] for _, t in runs) for phase in runs[0][1]}
         report = make_report(problem, x_ls, x, method)
         return TrialRecord(
             config_hash=chash, method=method, sketch=kind, m=m, trial=trial, seed=seed,

@@ -9,10 +9,11 @@ matrix, which collapses to the convex scalar-structured objective
 At the optimum ``x`` is a ridge solution ``(P^T P + rho s I)^{-1} c`` up to
 scale, with ``s = ||P x|| / ||x||``. In the right singular basis of P the
 two norm identities of the optimum combine into one increasing scalar
-equation in s on ``[0, sigma_max]``, solved by a safeguarded Newton root
-finder; the dual value ``tau = ||P x|| + rho ||x||`` and x then follow in
-closed form. Rank-deficient sketched matrices are supported: the corner
-where the optimum annihilates ``P x`` is the end s = 0 of the same equation.
+equation in s on ``[0, sigma_max]``, solved by Brent's method on that
+bracket (``scipy.optimize.brentq``); the dual value ``tau = ||P x|| + rho
+||x||`` and x then follow in closed form. Rank-deficient sketched matrices
+are supported: the corner where the optimum annihilates ``P x`` is the end
+s = 0 of the same equation.
 
 Robust full compression is the same problem on the augmented matrix
 ``[P q]`` (see :func:`solve_robust_cls`), so one scalar solve serves both.
@@ -24,25 +25,29 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector
+from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm
 from .exceptions import ConvergenceError, DegenerateInstanceError
 from .sketch import SketchOperator
-from .solvers import SketchedProblem, _norm, solve_cls, solve_pcls, solve_ridge_pcls
+from .solvers import SketchedProblem, solve_cls, solve_pcls, solve_ridge_pcls
 
 
 @dataclass(frozen=True)
 class RpcParams:
     """Tolerances and iteration caps for the robust partially-compressed solver.
 
-    ``eps`` bounds the gap ``|||P x|| / (s ||x||) - 1|`` checked after the
-    scalar solve that ``newton_tol`` and ``max_newton`` drive.
+    ``newton_tol`` is the relative tolerance on s of the Brent solve (4
+    machine epsilons, brentq's least, if below that) and ``max_newton`` caps
+    its iterations (default 500, up from the 100 Newton steps of the solver
+    Brent's method replaced). ``eps`` bounds the gap
+    ``|||P x|| / (s ||x||) - 1|`` checked after that solve.
     """
 
     rho: float = 1.0
     eps: float = 1e-10
     newton_tol: float = 1e-12
-    max_newton: int = 100
+    max_newton: int = 500
 
     def __post_init__(self):
         if not 0.0 <= self.rho < math.inf:
@@ -61,7 +66,8 @@ class RpcSolution:
     convergence ``tau = alpha + rho * beta`` and ``gamma = beta / alpha = 1 / s``
     (``gamma`` is infinite in the rank-deficient corner s = 0, where ``P x = 0``).
     ``outer_iters`` is 1 for a scalar solve and 0 for the corner and the
-    closed-form exits; ``newton_iters_total`` counts the Newton steps of that solve.
+    closed-form exits; ``newton_iters_total`` counts the Brent iterations of
+    that solve (0 when the root is an end of the bracket).
     """
 
     x: np.ndarray
@@ -126,52 +132,6 @@ def stationarity_residual(sp: SketchedProblem, x, rho: float) -> float:
     return _norm(rpc_objective_gradient(sp, x, rho))
 
 
-def _increasing_root(f, hi, tol, max_iter):
-    """Root of an increasing scalar function on [0, hi] with ``f(hi) >= 0``,
-    or 0 when ``f(0) >= 0``.
-
-    ``f(s)`` returns ``(value, slope, scale)``. The lower end ``lo`` halves
-    from ``hi`` until ``f(lo) < 0``, and is returned as the root (after 0
-    Newton steps) if one of those points already has ``|value| <= tol *
-    scale``. Otherwise Newton steps, replaced by bisection whenever one
-    leaves the bracket, run until ``|value| <= tol * scale``; the halvings
-    do not count against ``max_iter``. Returns ``(root,
-    newton_iterations)``. Raises :class:`ConvergenceError` with the last
-    point as ``last_iterate`` when either stage exhausts its budget;
-    ``diagnostics["bracketed"]`` says which.
-    """
-    if f(0.0)[0] >= 0.0:
-        return 0.0, 0
-    lo = hi
-    for _ in range(400):
-        value, _, scale = f(lo)
-        if abs(value) <= tol * scale:
-            return lo, 0
-        if value < 0:
-            break
-        lo, hi = 0.5 * lo, lo
-    else:
-        raise ConvergenceError(
-            "root beyond bracketing range", last_iterate=lo, diagnostics={"bracketed": False}
-        )
-    t = 0.5 * (lo + hi)
-    for k in range(1, max_iter + 1):
-        value, slope, scale = f(t)
-        if abs(value) <= tol * scale:
-            return t, k
-        if value > 0:
-            hi = t
-        else:
-            lo = t
-        step = t - value / slope if slope > 0 else 0.5 * (lo + hi)
-        t = step if lo < step < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"Newton did not reach tolerance in {max_iter} steps",
-        last_iterate=t,
-        diagnostics={"bracketed": True, "value": value},
-    )
-
-
 def _pow2(v: float) -> float:
     """The power of two in ``(v, 2v]`` (1 for v = 0); dividing by it is exact."""
     return math.ldexp(1.0, math.frexp(v)[1])
@@ -230,30 +190,32 @@ def solve_rpc_sketched(
     null = float(np.sum(bbar[~keep] ** 2)) / r**2
 
     def g(s):
-        den = d + r * s
-        coef = b2 / den**2
-        value = null + float(np.sum(coef * (s * s - d)))
-        slope = 2.0 * float(np.sum(coef * d * (s + r) / den))
-        return value, slope, null + float(np.sum(coef * (s * s + d)))
+        return null + float(np.sum(b2 * (s * s - d) / (d + r * s) ** 2))
 
-    try:
-        s, newton_total = _increasing_root(
-            g, float(sigma[0]), params.newton_tol, params.max_newton
-        )
-        failure = None
-    except ConvergenceError as exc:
-        s, failure = exc.last_iterate, exc
+    # every term of g(sigma_max) is >= 0, so off the corner Brent's method
+    # (Brent 1973) finds the root on [0, sigma_max]; xtol never binds. It is
+    # not called when that end is the root (N = 1, or all of bbar on
+    # sigma_max), where brentq leaves its iteration count unset
+    s, iterations, converged = 0.0, 0, True
+    if g(0.0) < 0.0:
+        s = float(sigma[0])
+        if g(s) > 0.0:
+            s, info = brentq(
+                g, 0.0, s, xtol=1e-300, rtol=max(params.newton_tol, 4 * np.finfo(float).eps),
+                maxiter=params.max_newton, full_output=True, disp=False,
+            )
+            iterations, converged = info.iterations, info.converged
     u = bbar / r
     u[keep] = s * bbar[keep] / (d + r * s)
     tau = _norm(u)
     gamma = 1.0 / (s * ps) if s > 0 else math.inf
     gap = _norm(sigma[keep] * u[keep]) / (s * tau) - 1.0 if s > 0 else 0.0
-    if failure is not None or not abs(gap) <= params.eps:
+    if not converged or not abs(gap) <= params.eps:
         raise ConvergenceError(
             f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
             last_iterate=(pc / ps * tau, gamma),
             diagnostics={"gamma": gamma, "gap": gap},
-        ) from failure
+        )
 
     x = (pc / ps / ps / (s + r)) * (V @ u)
     alpha = _norm(sp.P @ x)
@@ -262,14 +224,17 @@ def solve_rpc_sketched(
     else:
         # the gradient is undefined where P x vanishes (at s = 0, or where
         # P x rounds to 0 near it): subgradient certificate, all in V
-        # coordinates, where the multiplier on the ||P x|| term picks up
-        # bbar across the positive singular values
+        # coordinates, where the multiplier w on the ||P x|| term picks up
+        # bbar across the positive singular values. A subgradient needs
+        # ||w|| <= 1, so w is scaled back into the unit ball: off the corner
+        # the residual then keeps the share 1 - 1/||w|| of bbar there
         w = np.zeros_like(bbar)
         w[keep] = bbar[keep] / (tau * sigma[keep])
+        w /= max(1.0, _norm(w))
         foc = pc * _norm(tau * sigma * w + r * u - bbar)
     return RpcSolution(
         x=x, alpha=alpha, beta=_norm(x), tau=pc / ps * tau, gamma=gamma,
-        outer_iters=int(s > 0), newton_iters_total=newton_total,
+        outer_iters=int(s > 0), newton_iters_total=iterations,
         foc_residual=foc, converged=True,
     )
 

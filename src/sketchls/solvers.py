@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, svdvals
+from scipy.linalg.lapack import dpocon
 
-from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, solve_ols
+from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm, solve_ols
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
 from .sketch import SketchOperator
 
@@ -75,8 +76,10 @@ class GramSolver:
     """Solves ``(P^T P + mu I) x = rhs`` via Cholesky.
 
     Falls back to an SVD pseudo-solve (with a warning) when the Cholesky
-    factorization fails; singular values below ``RANK_REL_TOL`` times the
-    largest raise :class:`SingularMatrixError`.
+    factorization fails or succeeds on a numerically singular matrix (LAPACK
+    ``dpocon``'s reciprocal condition estimate below machine epsilon);
+    singular values below ``RANK_REL_TOL`` times the largest raise
+    :class:`SingularMatrixError`.
     """
 
     def __init__(self, P, mu: float = 0.0):
@@ -88,7 +91,10 @@ class GramSolver:
         if self.mu > 0:
             gram = gram + self.mu * np.eye(P.shape[1])
         try:
-            self._cho = cho_factor(gram)
+            self._cho = cho_factor(gram)  # upper, dpocon's default
+            rcond, _ = dpocon(self._cho[0], np.linalg.norm(gram, 1))
+            if not rcond >= np.finfo(float).eps:
+                raise np.linalg.LinAlgError(f"reciprocal condition estimate {rcond:.1e}")
             self._svd = None
         except np.linalg.LinAlgError as exc:
             self._cho = None
@@ -99,8 +105,8 @@ class GramSolver:
                     "(increase m or use a regularized solver)"
                 ) from exc
             warnings.warn(
-                "Cholesky of the sketched Gram matrix failed; "
-                "falling back to an SVD pseudo-solve",
+                "Cholesky of the sketched Gram matrix failed or is numerically "
+                "singular; falling back to an SVD pseudo-solve",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -150,14 +156,10 @@ def blendenpik_preconditioner(P) -> np.ndarray:
     if P.shape[0] < P.shape[1]:
         raise DimensionError("preconditioner needs m >= N")
     R = np.linalg.qr(P, mode="r")
-    diag = np.abs(np.diag(R))
-    if diag.min() <= RANK_REL_TOL * diag.max():
+    svals = svdvals(R, check_finite=False)
+    if svals[-1] <= RANK_REL_TOL * svals[0]:
         raise SingularMatrixError("sketched matrix produced a singular R factor")
     return R
-
-
-def _norm(v) -> float:
-    return float(norm(v, check_finite=False))
 
 
 def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -201,6 +203,31 @@ class TestReport:
         report = make_report(problem, x_ls, x_ls + 0.1, "pcls")
         assert report.relative_accuracy > 0
         assert report.eps_optimality > 0
+
+    def test_consistent_system(self):
+        # b in range(A) with a QR that rounds nothing: the residual at x_ls
+        # is exactly 0, so any clearly nonzero residual is infinitely worse
+        A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        problem = LSProblem(A=A, b=np.array([1.0, 2.0, 0.0]))
+        x_ls = solve_ols(problem)
+        assert make_report(problem, x_ls, x_ls, "ols").relative_accuracy == 0.0
+        assert make_report(problem, x_ls, x_ls + 0.1, "pcls").relative_accuracy == math.inf
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    def test_scores_do_not_depend_on_scale(self, scale):
+        # squares of these norms under- or overflow; the scores must not
+        rng = np.random.default_rng(15)
+        A, b = rng.standard_normal((40, 5)), rng.standard_normal(40)
+
+        def scores(problem):
+            x_ls = solve_ols(problem)
+            report = make_report(problem, x_ls, 1.001 * x_ls, "pcls")
+            return report.eps_optimality, report.relative_accuracy
+
+        eps, rel = scores(LSProblem(A=A, b=b))
+        eps_scaled, rel_scaled = scores(LSProblem(A=scale * A, b=scale * b))
+        assert eps_scaled == pytest.approx(eps, rel=1e-12)
+        assert rel_scaled == pytest.approx(rel, abs=1e-12)
 
 
 class TestOneFactor:

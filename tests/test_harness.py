@@ -14,6 +14,7 @@ from sketchls import (
     emit_profile,
     emit_timing_breakdown,
     generate_synthetic,
+    harness,
     load_csv,
     load_records,
     run_experiment,
@@ -266,6 +267,41 @@ class TestRunExperiment:
         assert all("Singular" in r.error for r in failed)
         succeeded = [r for r in records if not r.failed]
         assert all(r.relative_accuracy is not None for r in succeeded)
+
+    def test_best_of_k_timings(self, monkeypatch):
+        # the first run is discarded; each phase keeps its least time over the rest
+        phases = iter([
+            {"sketch": 0.0, "factor": 0.0, "solve": 0.0},
+            {"sketch": 3.0, "factor": 1.0, "solve": 2.0},
+            {"sketch": 1.0, "factor": 2.0, "solve": 3.0},
+            {"sketch": 2.0, "factor": 3.0, "solve": 1.0},
+        ])
+        run_pipeline = harness._run_pipeline
+
+        def timed(*args):
+            return run_pipeline(*args)[0], next(phases)
+
+        monkeypatch.setattr(harness, "_run_pipeline", timed)
+        [record] = run_experiment(quick_config(trials=1, timing_repeats=3))
+        assert record.timings == {"sketch": 1.0, "factor": 1.0, "solve": 1.0}
+
+    def test_csv_source(self, tmp_path):
+        # the synthetic instance written as CSV scores exactly as generated
+        synthetic = quick_config(methods=("ols", "pcls"), trials=1)
+        src = synthetic.source
+        problem = generate_synthetic(src.rows, src.cols, src.condition, src.coherence,
+                                     seed=synthetic.seed, residual_fraction=src.residual_fraction)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([problem.A, problem.b]), delimiter=",", fmt="%.17g")
+        from_csv = quick_config(source=ProblemSource(kind="csv", path=str(path)),
+                                methods=("ols", "pcls"), trials=1)
+        records = run_experiment(from_csv)
+        expected = run_experiment(synthetic)
+        assert [r.method for r in records] == ["ols", "pcls"]
+        for got, want in zip(records, expected):
+            assert not got.failed and got.seed == want.seed
+            assert got.eps_optimality == want.eps_optimality
+            assert got.relative_accuracy == want.relative_accuracy
 
     def test_lsqr_failure_is_typed(self):
         records = run_experiment(quick_config(methods=("blendenpik",), lsqr_tol=1e-30, trials=1))

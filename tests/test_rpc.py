@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sketchls import (
     generate_synthetic,
     identity_sketch,
     make_sketch,
+    rpc,
     rpc_objective,
     rpc_objective_gradient,
     rpc_oracle,
@@ -273,6 +275,22 @@ class TestSolveRpc:
             probe = sol.x + rng.standard_normal(4) * 0.1 * np.linalg.norm(sol.x)
             assert rpc_objective(sp, probe, rho) >= f_star - 1e-10
 
+    def test_corner_certificate_checks_dual_feasibility(self, monkeypatch):
+        # test_rank_deficient_smooth_branch's instance has a smooth optimum;
+        # a solve stopped at the corner s = 0 (here by a root finder that
+        # returns 0) must say so in foc_residual: the multiplier on ||P x||
+        # that the corner point needs has norm 26, above 1
+        rng = np.random.default_rng(20)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((10, 4)), full_matrices=False)
+        P = (U * np.array([3.0, 2.0, 1.0, 0.0])) @ Vt
+        c = Vt.T @ np.array([2.0, 1.0, 1.0, 0.05])
+        sp = SketchedProblem(P=P, q=np.zeros(10), c=c)
+        stopped = SimpleNamespace(converged=True, iterations=0)
+        monkeypatch.setattr(rpc, "brentq", lambda *args, **kwargs: (0.0, stopped))
+        sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=1.0))
+        assert math.isinf(sol.gamma)
+        assert sol.foc_residual >= 1e-3 * np.linalg.norm(c)
+
     def test_gap_check_uses_rank_rule(self):
         # sigma_3 = 9e-13 is zero under the rank rule; at gamma ~ 1e11 it
         # would otherwise add about 2e-3 to the normalization gap
@@ -315,8 +333,8 @@ class TestSolveRpc:
                 assert rpc_objective(sp, probe, rho) >= f_star - 1e-12 * abs(f_star)
 
     def test_one_column_root_found_while_bracketing(self):
-        # for N = 1 the root is exactly the starting point 1/sigma_max, and
-        # x = c / (||P|| + rho)^2 in closed form
+        # for N = 1 the root is exactly the bracket's end sigma_max, so no
+        # iteration runs, and x = c / (||P|| + rho)^2 in closed form
         rng = np.random.default_rng(27)
         for trial in range(12):
             m = int(rng.integers(1, 30))
@@ -325,7 +343,7 @@ class TestSolveRpc:
             )
             rho = float(10.0 ** rng.uniform(-3, 2))
             sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=rho))
-            assert sol.newton_iters_total <= 2
+            assert sol.newton_iters_total == 0
             x_exact = sp.c / (np.linalg.norm(sp.P) + rho) ** 2
             assert_allclose(sol.x, x_exact, rtol=1e-12)
 

@@ -99,6 +99,19 @@ class TestClsPcls:
         with pytest.raises(SingularMatrixError):
             solve_cls(sp)
 
+    def test_wide_gaussian_sketch_raises(self):
+        # with m < N the Gram matrix is singular, yet Cholesky succeeds on its
+        # rounding for 10 of these 60 seeds; solving from that factor gives
+        # ||x|| of 2e14 to 6e16
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            N = int(rng.integers(3, 12))
+            m = int(rng.integers(1, N))
+            P, c = rng.standard_normal((m, N)), rng.standard_normal(N)
+            sp = SketchedProblem(P=P, q=np.zeros(m), c=c)
+            with pytest.raises(SingularMatrixError):
+                solve_pcls(sp)
+
     def test_svd_fallback_warns_on_borderline_gram(self):
         # nearly parallel columns defeat Cholesky while staying above the
         # rank cutoff, so the pseudo-solve path engages with a warning
@@ -330,6 +343,22 @@ class TestBlendenpik:
     def test_singular_preconditioner_raises(self):
         with pytest.raises(SingularMatrixError):
             blendenpik_preconditioner(np.zeros((5, 2)))
+
+    def test_rank_rule_reads_singular_values(self):
+        # Kahan's matrix (c = 0.3, n = 100) is upper triangular with
+        # sigma_min / sigma_max = 1.0e-14, under the rank rule, while the
+        # ratio of its smallest to largest diagonal entry is 9.4e-3
+        n, c = 100, 0.3
+        scales = math.sqrt(1 - c * c) ** np.arange(n)
+        K = scales[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        with pytest.raises(SingularMatrixError):
+            blendenpik_preconditioner(K)
+
+    def test_zero_gradient_returns_origin(self):
+        # b orthogonal to range(A): A^T b = 0, so x = 0 is exact at once
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        x, iters, converged = preconditioned_lsqr(A, np.array([0.0, 0.0, 5.0]), tol=1e-10)
+        assert converged and iters == 0 and np.array_equal(x, np.zeros(2))
 
     @pytest.mark.parametrize("kind", ["gaussian", "ros", "count", None])
     def test_contract_sweep(self, kind):
