@@ -94,9 +94,10 @@ def _geometric_sigma(n, condition):
 
 
 def _incoherent_matrix(rng, M, N, condition):
+    """A = U diag(sigma) V^T with Haar U and V, and U, which spans range(A)."""
     U = _haar_columns(rng, M, N)
     V = _haar_columns(rng, N, N)
-    return (U * _geometric_sigma(N, condition)) @ V.T
+    return (U * _geometric_sigma(N, condition)) @ V.T, U
 
 
 def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) -> LSProblem:
@@ -118,12 +119,13 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_PROBLEM_STREAM,))
     )
 
+    U = None  # an orthonormal basis of range(A), when one is at hand
     if coherence == "incoherent" or N < 2:
-        A = _incoherent_matrix(rng, M, N, condition)
+        A, U = _incoherent_matrix(rng, M, N, condition)
     elif coherence == "semi-coherent":
         # leverage split: a dense incoherent block stacked with identity rows
         k = N // 2
-        G = _incoherent_matrix(rng, M - k, N - k, condition)
+        G, _ = _incoherent_matrix(rng, M - k, N - k, condition)
         A = np.zeros((M, N))
         A[: M - k, : N - k] = G
         A[M - k :, N - k :] = np.eye(k)
@@ -139,8 +141,11 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
     scale = float(np.linalg.norm(b))
     if residual_fraction > 0:
         raw = rng.standard_normal(M)
-        coef, *_ = np.linalg.lstsq(A, raw, rcond=None)
-        z = raw - A @ coef
+        if U is not None:
+            z = raw - U @ (U.T @ raw)
+        else:
+            coef, *_ = np.linalg.lstsq(A, raw, rcond=None)
+            z = raw - A @ coef
         z_norm = float(np.linalg.norm(z))
         if z_norm > 0:
             b = b + z * (residual_fraction * scale / z_norm)

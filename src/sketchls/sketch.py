@@ -7,6 +7,8 @@ Three families are provided:
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
   E[Phi^T Phi] = I on the original coordinates, never formed as a matrix;
+  the transform runs in place on the padded buffer, in cache-sized blocks
+  of rows, and is bit-identical to the plain stage-by-stage butterfly;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
   sparse CSC matrix and applied in O(nnz).
 
@@ -69,26 +71,77 @@ def next_pow_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+# bytes of one working block of the transform: small enough to stay in a
+# per-core L2 cache, large enough that numpy's per-call cost is negligible
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Largest power of two number of rows whose bytes fit in one block,
+    and at least 1."""
+    rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return 1 << (rows.bit_length() - 1)
+
+
+def _butterflies(a: np.ndarray, t: np.ndarray) -> None:
+    """Every stage of the transform on the rows of a C-contiguous ``a``, in
+    place: stage h replaces each pair (x, y) of rows h apart within blocks
+    of 2h rows by (x + y, x - y). ``t`` is scratch of half a's size."""
+    n, w = a.shape
+    h = 1
+    while h < n:
+        pairs = a.reshape(n // (2 * h), 2, h, w)
+        x, y = pairs[:, 0], pairs[:, 1]
+        diff = t.reshape(n // (2 * h), h, w)
+        np.subtract(x, y, out=diff)
+        np.add(x, y, out=x)
+        y[...] = diff
+        h *= 2
+
+
+def _fwht_inplace(a: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform of the rows of a C-contiguous
+    2-D ``a``, in place and in cache-sized blocks.
+
+    With B rows per block, H_n = (H_{n/B} (x) I_B)(I_{n/B} (x) H_B). Phase 1
+    runs the stages h < B on each block of B contiguous rows. Phase 2 runs
+    the stages h >= B: it copies the rows at stride B that those stages mix
+    into one small contiguous buffer, transforms it (recursively, so it too
+    stays in blocks) and writes it back. The butterflies and their order are
+    those of ``_butterflies`` on the whole array, so the result is
+    bit-identical to it. A row wider than a block gives one-row blocks, and
+    then the stages run on the whole array.
+    """
+    n, w = a.shape
+    B = min(n, _block_rows(8 * w))
+    if B in (1, n) or not a.size:
+        _butterflies(a, np.empty(a.size // 2))
+        return
+    t = np.empty(B * w // 2)
+    for start in range(0, n, B):
+        _butterflies(a[start : start + B], t)
+    outer = n // B
+    blocks = a.reshape(outer, B * w)  # row i holds block i
+    width = min(B, _block_rows(8 * w * outer)) * w
+    buf = np.empty((outer, width))
+    for j in range(0, B * w, width):
+        buf[...] = blocks[:, j : j + width]
+        _fwht_inplace(buf)
+        blocks[:, j : j + width] = buf
+
+
 def fwht(x: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0.
 
     The leading dimension must be a power of two. ``fwht(fwht(x)) == n * x``.
+    Returns a new array; ``x`` is never changed.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    out = np.array(x, dtype=float, order="C")
+    n = out.shape[0]
     if n & (n - 1):
         raise DimensionError(f"length {n} is not a power of two")
-    flat = x.ndim == 1
-    a = x.reshape(n, -1).copy()
-    k = a.shape[1]
-    h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, h, k)
-        low = a[:, 0] + a[:, 1]
-        high = a[:, 0] - a[:, 1]
-        a = np.stack((low, high), axis=1).reshape(n, k)
-        h *= 2
-    return a.reshape(n) if flat else a
+    _fwht_inplace(out.reshape(n, math.prod(out.shape[1:])))
+    return out
 
 
 class SketchOperator:
@@ -146,9 +199,11 @@ class RosSketch(SketchOperator):
         X = self._check_rows(X, self.spec.M, "input")
         flat = X.ndim == 1
         Xm = X.reshape(self.spec.M, -1)
-        padded = np.zeros((self.m_pad, Xm.shape[1]))
-        padded[: self.spec.M] = self.signs[:, None] * Xm
-        out = fwht(padded)[self.rows] / math.sqrt(self.spec.m)
+        padded = np.empty((self.m_pad, Xm.shape[1]))
+        np.multiply(self.signs[:, None], Xm, out=padded[: self.spec.M])
+        padded[self.spec.M :] = 0.0
+        _fwht_inplace(padded)
+        out = padded[self.rows] / math.sqrt(self.spec.m)
         return out.reshape(-1) if flat else out
 
     def apply_transpose(self, Y):
@@ -157,7 +212,8 @@ class RosSketch(SketchOperator):
         Ym = Y.reshape(self.spec.m, -1)
         scattered = np.zeros((self.m_pad, Ym.shape[1]))
         scattered[self.rows] = Ym
-        out = self.signs[:, None] * fwht(scattered)[: self.spec.M] / math.sqrt(self.spec.m)
+        _fwht_inplace(scattered)
+        out = self.signs[:, None] * scattered[: self.spec.M] / math.sqrt(self.spec.m)
         return out.reshape(-1) if flat else out
 
 

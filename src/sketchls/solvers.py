@@ -141,8 +141,17 @@ def solve_ridge_pcls(sp: SketchedProblem, mu: float) -> np.ndarray:
 
 
 def default_mu(sp: SketchedProblem, factor: float = 5.0) -> float:
-    """Default ridge weight: ``factor`` times the smallest eigenvalue of P^T P."""
-    return float(factor) * float(sp.spectral[0][-1]) ** 2
+    """Default ridge weight: ``factor`` times the smallest eigenvalue of P^T P.
+
+    A numerically singular P (smallest singular value at most
+    ``RANK_REL_TOL`` times the largest) raises :class:`SingularMatrixError`:
+    there the weight is at rounding level, and the ridge solve would divide
+    by it.
+    """
+    sigma = sp.spectral[0]
+    if sigma[-1] <= RANK_REL_TOL * sigma[0]:
+        raise SingularMatrixError("sketched matrix is numerically singular; no default ridge weight")
+    return float(factor) * float(sigma[-1]) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,20 @@ from sketchls import (
     make_sketch,
     sketch_flops_estimate,
 )
-from sketchls.sketch import KINDS, next_pow_two
+from sketchls.sketch import _BLOCK_BYTES, KINDS, next_pow_two
+
+
+def butterfly_reference(X):
+    """The transform stage by stage: stage h maps each pair (x, y) of rows
+    h apart within blocks of 2h rows to (x + y, x - y)."""
+    n = X.shape[0]
+    a = np.array(X, dtype=float).reshape(n, -1)
+    h = 1
+    while h < n:
+        pairs = a.reshape(n // (2 * h), 2, h, -1)
+        a = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+        h *= 2
+    return a.reshape(X.shape)
 
 
 class TestSketchSpec:
@@ -49,6 +62,36 @@ class TestFwht:
     def test_involution_up_to_scale(self):
         v = np.random.default_rng(0).standard_normal(16)
         assert_allclose(fwht(fwht(v)), 16 * v, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2**12, 64),  # 2,048-row blocks: both phases run
+            (32, _BLOCK_BYTES // 32),  # 4-row blocks: phase 2 runs in blocks too
+            (4, _BLOCK_BYTES // 8 + 1),  # one row is wider than a block
+            (2**15,),
+        ],
+    )
+    def test_bit_identical_to_stage_by_stage(self, shape):
+        X = np.random.default_rng(1).standard_normal(shape)
+        out = fwht(X)
+        assert out.shape == X.shape
+        assert out.tobytes() == butterfly_reference(X).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2**10, 256), (32, _BLOCK_BYTES // 32)])
+    def test_matches_dense_hadamard_across_blocks(self, shape):
+        X = np.random.default_rng(2).standard_normal(shape)
+        atol = 1e-12 * np.abs(X).sum(axis=0).max()
+        assert_allclose(fwht(X), hadamard(shape[0]) @ X, rtol=1e-12, atol=atol)
+
+    def test_leaves_input_unchanged(self):
+        rng = np.random.default_rng(3)
+        for X in (rng.standard_normal(64), np.asfortranarray(rng.standard_normal((2**12, 64)))):
+            before = X.copy(order="A")
+            out = fwht(X)
+            assert X.tobytes(order="A") == before.tobytes(order="A")
+            assert X.flags.f_contiguous == before.flags.f_contiguous
+            assert out.tobytes() == butterfly_reference(before).tobytes()
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(DimensionError):
@@ -168,10 +211,34 @@ class TestDistributionalInvariants:
             assert np.array_equal(gram_diag, np.ones(17))
 
     def test_ros_full_sampling_is_orthogonal(self):
-        for M in (8, 64):
+        for M in (8, 64, 2**9):  # at 2^9 columns both phases of the transform run
             op = make_sketch(SketchSpec(kind="ros", m=M, M=M, seed=11))
             dense = op.materialize()
             assert np.abs(dense.T @ dense - np.eye(M)).max() <= 1e-10
+
+    @pytest.mark.parametrize("M", [2**12, 2**12 + 1])
+    def test_ros_apply_and_transpose_are_adjoint(self, M):
+        # 2^12 rows fill the padded length exactly, 2^12 + 1 pad to 2^13;
+        # with 64 columns both phases of the blocked transform run
+        rng = np.random.default_rng(M)
+        m = 300
+        op = make_sketch(SketchSpec(kind="ros", m=m, M=M, seed=2))
+        X, Y = rng.standard_normal((M, 64)), rng.standard_normal((m, 64))
+        lhs = np.sum(op.apply(X) * Y)
+        rhs = np.sum(X * op.apply_transpose(Y))
+        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(M) * np.linalg.norm(X) * np.linalg.norm(Y)
+
+    def test_count_sketch_with_empty_buckets(self):
+        M = m = 40
+        op = make_sketch(SketchSpec(kind="count", m=m, M=M, seed=0))
+        assert len(np.unique(op.matrix.indices)) < m  # some bucket is empty
+        dense = op.materialize()
+        assert dense.shape == (m, M)
+        assert np.array_equal(np.diag(dense.T @ dense), np.ones(M))
+        X = np.random.default_rng(0).standard_normal((M, 3))
+        assert op.apply(X).shape == (m, 3)
+        assert op.apply_transpose(np.ones(m)).shape == (M,)
+        assert_allclose(op.apply(X), dense @ X, atol=1e-12)
 
     def test_ros_padding_keeps_columns_unit_norm_in_expectation(self):
         # M strictly below the padded size exercises the zero-padding path

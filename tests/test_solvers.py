@@ -17,6 +17,7 @@ from sketchls import (
     cls_error_decomposition,
     default_mu,
     eps_optimality,
+    generate_synthetic,
     identity_sketch,
     make_sketch,
     preconditioned_lsqr,
@@ -185,6 +186,21 @@ class TestDefaultMu:
     def test_uniform_spectrum(self):
         sp = SketchedProblem(P=2.0 * np.eye(3), q=np.zeros(3), c=np.zeros(3))
         assert default_mu(sp) == pytest.approx(20.0)
+
+    def test_numerically_singular_sketch_raises(self):
+        # count sketches of the semi-coherent class leave P with
+        # sigma_min / sigma_max near 1e-16; a weight of 5 sigma_min^2 there
+        # gave ridge solutions with ||x|| near 1e30
+        problem = generate_synthetic(20000, 50, 1e4, "semi-coherent", 1)
+        for seed in range(3):
+            sp, _ = sketched(problem, kind="count", m=100, seed=seed)
+            with pytest.raises(SingularMatrixError):
+                default_mu(sp)
+
+    def test_zero_sketch_raises(self):
+        sp = SketchedProblem(P=np.zeros((4, 2)), q=np.zeros(4), c=np.zeros(2))
+        with pytest.raises(SingularMatrixError):
+            default_mu(sp)
 
 
 def robust_cls_grid_oracle(P, q, rho, n_grid=4000):
