@@ -119,13 +119,15 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_PROBLEM_STREAM,))
     )
 
-    U = None  # an orthonormal basis of range(A), when one is at hand
+    # orthonormal columns that, with the unit vectors of every row below
+    # them, span range(A), when they are at hand
+    U = None
     if coherence == "incoherent" or N < 2:
         A, U = _incoherent_matrix(rng, M, N, condition)
     elif coherence == "semi-coherent":
         # leverage split: a dense incoherent block stacked with identity rows
         k = N // 2
-        G, _ = _incoherent_matrix(rng, M - k, N - k, condition)
+        G, U = _incoherent_matrix(rng, M - k, N - k, condition)
         A = np.zeros((M, N))
         A[: M - k, : N - k] = G
         A[M - k :, N - k :] = np.eye(k)
@@ -140,12 +142,13 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
     b = A @ x_star
     scale = float(np.linalg.norm(b))
     if residual_fraction > 0:
-        raw = rng.standard_normal(M)
-        if U is not None:
-            z = raw - U @ (U.T @ raw)
+        z = rng.standard_normal(M)
+        if U is None:
+            coef, *_ = np.linalg.lstsq(A, z, rcond=None)
+            z -= A @ coef
         else:
-            coef, *_ = np.linalg.lstsq(A, raw, rcond=None)
-            z = raw - A @ coef
+            z[len(U) :] = 0.0
+            z[: len(U)] -= U @ (U.T @ z[: len(U)])
         z_norm = float(np.linalg.norm(z))
         if z_norm > 0:
             b = b + z * (residual_fraction * scale / z_norm)

@@ -7,8 +7,10 @@ Three families are provided:
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
   E[Phi^T Phi] = I on the original coordinates, never formed as a matrix;
-  the transform runs in place on the padded buffer, in cache-sized blocks
-  of rows, and is bit-identical to the plain stage-by-stage butterfly;
+  apply never forms the padding either: it transforms the M rows in place,
+  in power-of-two pieces and cache-sized blocks of rows, combines only the
+  m sampled rows, and is bit-identical to the plain stage-by-stage
+  butterfly on the padded length;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
   sparse CSC matrix and applied in O(nnz).
 
@@ -106,11 +108,13 @@ def _fwht_inplace(a: np.ndarray) -> None:
     With B rows per block, H_n = (H_{n/B} (x) I_B)(I_{n/B} (x) H_B). Phase 1
     runs the stages h < B on each block of B contiguous rows. Phase 2 runs
     the stages h >= B: it copies the rows at stride B that those stages mix
-    into one small contiguous buffer, transforms it (recursively, so it too
-    stays in blocks) and writes it back. The butterflies and their order are
-    those of ``_butterflies`` on the whole array, so the result is
-    bit-identical to it. A row wider than a block gives one-row blocks, and
-    then the stages run on the whole array.
+    into a contiguous buffer of half a block, transforms it (recursively, so
+    it too stays in blocks) and writes it back. Phase 1's scratch is freed
+    first, so phase 2's buffer and the quarter block that transforming it
+    takes stay within one block. The butterflies and their order are those
+    of ``_butterflies`` on the whole array, so the result is bit-identical
+    to it. A row wider than a block gives one-row blocks, and then the
+    stages run on the whole array.
     """
     n, w = a.shape
     B = min(n, _block_rows(8 * w))
@@ -120,14 +124,48 @@ def _fwht_inplace(a: np.ndarray) -> None:
     t = np.empty(B * w // 2)
     for start in range(0, n, B):
         _butterflies(a[start : start + B], t)
+    del t
     outer = n // B
     blocks = a.reshape(outer, B * w)  # row i holds block i
-    width = min(B, _block_rows(8 * w * outer)) * w
+    width = min(B, _block_rows(2 * 8 * w * outer)) * w
     buf = np.empty((outer, width))
     for j in range(0, B * w, width):
         buf[...] = blocks[:, j : j + width]
         _fwht_inplace(buf)
         blocks[:, j : j + width] = buf
+
+
+def _padded_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (mod n) of H_n [a; 0], the transform of the C-contiguous
+    2-D ``a`` zero-padded to n = next_pow_two(len(a)), without forming the
+    padding. Overwrites ``a``.
+
+    With h = n/2 and a = [a1; a2], the stages below h transform a1 and
+    [a2; 0] apart, and row j of H_h [a2; 0] is row j mod n2 of H_n2 [a2; 0],
+    n2 = next_pow_two(len(a2)), since its stages from n2 on pair it only with
+    zeros. That tail is found by the same rule, and the top stage gives row r
+    as Y1[j] + Y2[j] for r < h and Y1[j] - Y2[j] otherwise, j = r mod h. Each
+    kept row sees the butterflies of the padded transform, so the result is
+    bit-identical to it.
+    """
+    n = next_pow_two(len(a))
+    rows = rows & (n - 1)
+    if n == len(a):
+        _fwht_inplace(a)
+        return a[rows]
+    h = n // 2
+    _fwht_inplace(a[:h])
+    j = rows & (h - 1)
+    tail = _padded_rows(a[h:], j)
+    # the padded stages n2 .. h/2 add a +0 partner to row j wherever its bit
+    # is clear, which turns a -0.0 into +0.0; repeat that on the kept rows
+    skipped = h - next_pow_two(len(a) - h)
+    np.add(tail, 0.0, out=tail, where=((j & skipped) != skipped)[:, None])
+    # Y1 - Y2 is Y1 + (-Y2) exactly
+    np.negative(tail, out=tail, where=(rows >= h)[:, None])
+    out = a[j]
+    out += tail
+    return out
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -186,7 +224,9 @@ class RosSketch(SketchOperator):
     Inputs are zero-padded to the next power of two; the combined scaling
     1/sqrt(m) makes E[Phi^T Phi] = I on the unpadded coordinates, and the
     full-sampling case m = M = M_pad gives an exactly orthogonal operator.
-    Phi is never formed.
+    Phi is never formed, and ``apply`` never forms the padding: it needs one
+    M-row copy of its input, scratch of at most a cache block and a few
+    m-row arrays.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
@@ -199,11 +239,10 @@ class RosSketch(SketchOperator):
         X = self._check_rows(X, self.spec.M, "input")
         flat = X.ndim == 1
         Xm = X.reshape(self.spec.M, -1)
-        padded = np.empty((self.m_pad, Xm.shape[1]))
-        np.multiply(self.signs[:, None], Xm, out=padded[: self.spec.M])
-        padded[self.spec.M :] = 0.0
-        _fwht_inplace(padded)
-        out = padded[self.rows] / math.sqrt(self.spec.m)
+        signed = np.empty(Xm.shape)
+        np.multiply(self.signs[:, None], Xm, out=signed)
+        out = _padded_rows(signed, self.rows)
+        out /= math.sqrt(self.spec.m)
         return out.reshape(-1) if flat else out
 
     def apply_transpose(self, Y):
@@ -247,8 +286,14 @@ def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> f
     if spec.kind == "gaussian":
         return float(spec.m) * spec.M * N
     if spec.kind == "ros":
-        m_pad = next_pow_two(spec.M)
-        return float(m_pad) * math.log2(m_pad) * N
+        # what RosSketch.apply runs: n log2 n per power-of-two piece of the
+        # rows, and one add per kept row to combine each piece with its tail
+        flops, rows = 0.0, spec.M
+        while rows & (rows - 1):
+            h = next_pow_two(rows) // 2
+            flops += h * math.log2(h) + spec.m
+            rows -= h
+        return (flops + rows * math.log2(rows)) * N
     if nnz is None:
         raise ValueError("count sketch estimate needs the nonzero count")
     return float(nnz)

@@ -51,6 +51,13 @@ class TestGenerateSynthetic:
         fitted = np.linalg.norm(p.A @ x_ls)
         assert resid / fitted == pytest.approx(0.5, rel=1e-6)
 
+    @pytest.mark.parametrize("coherence", ["semi-coherent", "coherent"])
+    def test_residual_fraction_in_structured_classes(self, coherence):
+        p = generate_synthetic(120, 8, 10.0, coherence, seed=3, residual_fraction=0.5)
+        x_ls = solve_ols(p)
+        resid = np.linalg.norm(p.A @ x_ls - p.b)
+        assert resid / np.linalg.norm(p.A @ x_ls) == pytest.approx(0.5, rel=1e-6)
+
     def test_semi_coherent_structure(self):
         p = generate_synthetic(40, 10, 50.0, "semi-coherent", seed=4)
         # bottom-right block is the identity; bottom-left block is zero

@@ -1,4 +1,6 @@
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +188,47 @@ class TestApply:
         Y = np.random.default_rng(7).standard_normal((5, 3))
         assert_allclose(op.apply_transpose(Y), dense.T @ Y, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "M",
+        [
+            2**12,  # a power of two: no tail
+            2**12 + 1,  # a one-row tail
+            2**12 + 2**11 + 3,  # two levels of tail
+            3,
+        ],
+    )
+    @pytest.mark.parametrize("layout", ["vector", "matrix", "fortran"])
+    def test_ros_apply_matches_padded_transform_bitwise(self, M, layout):
+        # with 64 columns both phases of the blocked transform run; columns
+        # of zeros of either sign check the sign of each exact zero
+        rng = np.random.default_rng(M)
+        op = make_sketch(SketchSpec(kind="ros", m=min(M, 300), M=M, seed=5))
+        if layout == "vector":
+            X = rng.standard_normal(M)
+        else:
+            X = rng.standard_normal((M, 64))
+            X[:, 32:] = rng.choice([0.0, -0.0], size=(M, 32))
+            if layout == "fortran":
+                X = np.asfortranarray(X)
+        padded = np.zeros((next_pow_two(M),) + X.shape[1:])
+        padded[:M] = op.signs.reshape((M,) + (1,) * (X.ndim - 1)) * X
+        expected = fwht(padded)[op.rows] / math.sqrt(op.spec.m)
+        assert op.apply(X).tobytes() == expected.tobytes()
+
+    def test_ros_apply_allocates_no_padded_buffer(self):
+        # memory is predictable from (m, M, N): one M-row copy of the input
+        # and bounded scratch, not the 2^13-row zero-padded buffer
+        M, N = 2**12 + 1, 64
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=0))
+        X = np.random.default_rng(0).standard_normal((M, N))
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M * N * 8
+
     def test_vector_round_trip_shape(self):
         op = make_sketch(SketchSpec(kind="ros", m=3, M=10, seed=0))
         v = np.ones(10)
@@ -216,9 +259,10 @@ class TestDistributionalInvariants:
             dense = op.materialize()
             assert np.abs(dense.T @ dense - np.eye(M)).max() <= 1e-10
 
-    @pytest.mark.parametrize("M", [2**12, 2**12 + 1])
+    @pytest.mark.parametrize("M", [2**12, 2**12 + 1, 2**12 + 2**11 + 3])
     def test_ros_apply_and_transpose_are_adjoint(self, M):
-        # 2^12 rows fill the padded length exactly, 2^12 + 1 pad to 2^13;
+        # 2^12 rows fill the padded length exactly, 2^12 + 1 pad to 2^13,
+        # and 2^12 + 2^11 + 3 leave a tail with a tail of its own;
         # with 64 columns both phases of the blocked transform run
         rng = np.random.default_rng(M)
         m = 300
@@ -256,8 +300,10 @@ class TestFlopsEstimate:
         assert sketch_flops_estimate(spec, N=5) == 5000
 
     def test_ros_padded_formula(self):
+        # 100 rows: transforms of 64, 32 and 4 rows, n log2 n each, and two
+        # combines of the 10 kept rows; not 128 log2 128 on the padding
         spec = SketchSpec(kind="ros", m=10, M=100, seed=0)
-        assert sketch_flops_estimate(spec, N=2) == 128 * 7 * 2
+        assert sketch_flops_estimate(spec, N=2) == (64 * 6 + 32 * 5 + 4 * 2 + 2 * 10) * 2
 
     def test_count_uses_nnz(self):
         spec = SketchSpec(kind="count", m=10, M=100, seed=0)
