@@ -25,12 +25,13 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import brentq
 
 from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm
 from .exceptions import ConvergenceError, DegenerateInstanceError
 from .sketch import SketchOperator
-from .solvers import SketchedProblem, solve_cls, solve_pcls, solve_ridge_pcls
+from .solvers import SketchedProblem, solve_cls, solve_pcls
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,8 @@ class RpcParams:
 
     ``newton_tol`` is the relative tolerance on s of the Brent solve (4
     machine epsilons, brentq's least, if below that) and ``max_newton`` caps
-    its iterations (default 500, up from the 100 Newton steps of the solver
-    Brent's method replaced). ``eps`` bounds the gap
-    ``|||P x|| / (s ||x||) - 1|`` checked after that solve.
+    its iterations. ``eps`` bounds the gap ``|||P x|| / (s ||x||) - 1|``
+    checked after that solve.
     """
 
     rho: float = 1.0
@@ -67,7 +67,9 @@ class RpcSolution:
     (``gamma`` is infinite in the rank-deficient corner s = 0, where ``P x = 0``).
     ``outer_iters`` is 1 for a scalar solve and 0 for the corner and the
     closed-form exits; ``newton_iters_total`` counts the Brent iterations of
-    that solve (0 when the root is an end of the bracket).
+    that solve (0 when the root is an end of the bracket). ``foc_residual`` is a
+    subgradient residual in V coordinates (x-space at rho = 0); off the corner it is
+    that of the scalar equation, and x itself is checked by :func:`stationarity_residual`.
     """
 
     x: np.ndarray
@@ -151,12 +153,11 @@ def solve_rpc_sketched(
     params = params or RpcParams()
     rho = params.rho
     c = sp.c
-    N = sp.N
     c_norm = _norm(c)
 
     if c_norm == 0.0:
         return RpcSolution(
-            x=np.zeros(N), alpha=0.0, beta=0.0, tau=0.0, gamma=0.0,
+            x=np.zeros(sp.N), alpha=0.0, beta=0.0, tau=0.0, gamma=0.0,
             outer_iters=0, newton_iters_total=0, foc_residual=0.0, converged=True,
         )
     if rho == 0.0:
@@ -208,8 +209,15 @@ def solve_rpc_sketched(
     u = bbar / r
     u[keep] = s * bbar[keep] / (d + r * s)
     tau = _norm(u)
+    # subgradient certificate in V coordinates, before x is assembled (a gradient
+    # recomputed from x measures its rounding near the corner). Off the corner the
+    # multiplier w on ||P x|| is the unit vector sigma u / (s tau): the gap is
+    # ||w|| - 1, and the residual that of the scalar equation. At s = 0 it is
+    # bbar_R / (sigma tau), scaled back into the unit ball, which a subgradient needs
+    w = np.zeros_like(bbar)
+    w[keep] = sigma[keep] * bbar[keep] / ((d + r * s) * tau)
     gamma = 1.0 / (s * ps) if s > 0 else math.inf
-    gap = _norm(sigma[keep] * u[keep]) / (s * tau) - 1.0 if s > 0 else 0.0
+    gap = _norm(w) - 1.0 if s > 0 else 0.0
     if not converged or not abs(gap) <= params.eps:
         raise ConvergenceError(
             f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
@@ -217,23 +225,11 @@ def solve_rpc_sketched(
             diagnostics={"gamma": gamma, "gap": gap},
         )
 
+    w /= _norm(w) if s > 0 else max(1.0, _norm(w))
+    foc = pc * _norm(tau * sigma * w + r * u - bbar)
     x = (pc / ps / ps / (s + r)) * (V @ u)
-    alpha = _norm(sp.P @ x)
-    if s > 0 and alpha > 0:
-        foc = stationarity_residual(sp, x, rho)
-    else:
-        # the gradient is undefined where P x vanishes (at s = 0, or where
-        # P x rounds to 0 near it): subgradient certificate, all in V
-        # coordinates, where the multiplier w on the ||P x|| term picks up
-        # bbar across the positive singular values. A subgradient needs
-        # ||w|| <= 1, so w is scaled back into the unit ball: off the corner
-        # the residual then keeps the share 1 - 1/||w|| of bbar there
-        w = np.zeros_like(bbar)
-        w[keep] = bbar[keep] / (tau * sigma[keep])
-        w /= max(1.0, _norm(w))
-        foc = pc * _norm(tau * sigma * w + r * u - bbar)
     return RpcSolution(
-        x=x, alpha=alpha, beta=_norm(x), tau=pc / ps * tau, gamma=gamma,
+        x=x, alpha=_norm(sp.P @ x), beta=_norm(x), tau=pc / ps * tau, gamma=gamma,
         outer_iters=int(s > 0), newton_iters_total=iterations,
         foc_residual=foc, converged=True,
     )
@@ -242,9 +238,11 @@ def solve_rpc_sketched(
 def solve_rpc(
     problem: LSProblem, op: SketchOperator, params: RpcParams | None = None
 ) -> RpcSolution:
-    """Sketch the problem with ``op`` and run :func:`solve_rpc_sketched`."""
+    """Sketch A with ``op`` (rpc never reads q = Phi b) and run :func:`solve_rpc_sketched`."""
+    P = op.apply(problem.A)
+    sp = SketchedProblem(P=P, q=np.zeros(P.shape[0]), c=problem.A.T @ problem.b)
     # b_norm is not read by the solve
-    return solve_rpc_sketched(SketchedProblem.from_problem(problem, op), 0.0, params)
+    return solve_rpc_sketched(sp, 0.0, params)
 
 
 def robust_cls_objective(P, q, x, rho: float) -> float:
@@ -282,77 +280,37 @@ def solve_robust_cls(sp: SketchedProblem, rho: float) -> np.ndarray:
     return x[:N] / -x[N]
 
 
-def rpc_oracle(sp: SketchedProblem, rho: float, tol: float = 1e-10, max_iter: int = 50000):
-    """Slow reference minimizer of :func:`rpc_objective`.
-
-    Damped fixed-point iteration on the data-dependent ridge structure of
-    the optimum, initialized from the ridge solution with weight rho,
-    polished by the best scaling of x in closed form. Independent of the
-    scalar solve in :func:`solve_rpc_sketched`.
-    """
+def rpc_oracle(sp: SketchedProblem, rho: float):
+    """Slow reference minimizer ``(x, f)`` of :func:`rpc_objective`, sharing no SVD or
+    g(s) with :func:`solve_rpc_sketched`: the ridge solution ``(P^T P + lam I)^{-1} c`` at
+    the root of ``lam = rho ||P x|| / ||x||`` (El Ghaoui & Lebret 1997), times its best
+    scale ``c^T x / (||P x|| + rho ||x||)^2``. At the null corner (lam = 0) it raises a
+    :class:`DegenerateInstanceError`."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    c = sp.c
-    c_norm = float(np.linalg.norm(c))
-    if c_norm == 0.0:
+    if _norm(sp.c) == 0.0:
         return np.zeros(sp.N), 0.0
     if rho == 0.0:
         x = solve_pcls(sp)
         return x, rpc_objective(sp, x, 0.0)
 
-    gram = sp.P.T @ sp.P
-    eye = np.eye(sp.N)
-    norm_P = float(np.linalg.norm(sp.P, 2))
-    x = solve_ridge_pcls(sp, mu=rho)
-    f = rpc_objective(sp, x, rho)
-    foc = stationarity_residual(sp, x, rho)
-    foc_bound = 10.0 * tol * c_norm
+    def ridge(lam):
+        # R^T R = P^T P + lam I; forming P^T P would round lam away on ill-conditioned P
+        R = np.linalg.qr(np.vstack([sp.P, math.sqrt(lam) * np.eye(sp.N)]), mode="r")
+        return cho_solve((R, False), sp.c)
 
-    for _ in range(max_iter):
-        alpha = float(np.linalg.norm(sp.P @ x))
-        beta = float(np.linalg.norm(x))
-        if beta == 0.0 or alpha <= 1e-14 * norm_P * beta:
-            raise ConvergenceError(
-                "fixed-point oracle hit a nonsmooth point (P x = 0)", last_iterate=x
-            )
-        target = np.linalg.solve(gram / alpha + (rho / beta) * eye, c) / (alpha + rho * beta)
-        # backtrack on the objective, with an ulp-level slack so that the
-        # flat region near the optimum cannot stall x-space progress
-        slack = 1e-13 * (1.0 + abs(f))
-        step, accepted = 1.0, False
-        while step >= 1e-4:
-            x_try = x + step * (target - x)
-            f_try = rpc_objective(sp, x_try, rho)
-            if f_try <= f + slack:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no usable descent direction; polish and stop
-        foc_try = stationarity_residual(sp, x_try, rho)
-        if f_try > f - slack and foc_try >= foc:
-            break  # neither the objective nor the stationarity gap improves
-        f_change = abs(f - f_try)
-        x, f, foc = x_try, f_try, foc_try
-        if foc <= foc_bound and f_change <= tol * (1.0 + abs(f)):
-            break
-    else:
-        raise ConvergenceError("fixed-point oracle exhausted its iteration budget", last_iterate=x)
+    def h(lam):
+        x = ridge(lam)
+        return lam - rho * _norm(sp.P @ x) / _norm(x)
 
-    # scale polish: along t x the objective is 0.5 (t g)^2 - t c^T x with
-    # g = ||P x|| + rho ||x||, least on [0, 2] at t = clip(c^T x / g^2, 0, 2);
-    # near the optimum the objective is flat below fp resolution in the
-    # scale, so keep the polished point only if it improves stationarity
-    gauge = float(np.linalg.norm(sp.P @ x)) + rho * float(np.linalg.norm(x))
-    if gauge > 0.0:
-        x_polished = np.clip(float(c @ x) / gauge**2, 0.0, 2.0) * x
-        foc_polished = stationarity_residual(sp, x_polished, rho)
-        if foc_polished < foc:
-            x, foc = x_polished, foc_polished
-    if foc > foc_bound:
-        raise ConvergenceError(
-            f"oracle stationarity residual {foc:.3e} above bound {foc_bound:.3e}",
-            last_iterate=x,
-            diagnostics={"foc_residual": foc},
-        )
+    # h < 0 below the root, > 0 above it, but rounding in P x flips its sign at tiny lam, so
+    # the lower end halves down from rho ||P||_2 to the first h <= 0 (past 1e-14 of that: corner)
+    hi = 2.0 * rho * float(np.linalg.norm(sp.P, 2))
+    lo, floor = hi / 2, 1e-14 * hi / 2
+    while lo > floor and h(lo) > 0.0:
+        lo, hi = lo / 2, lo
+    if lo <= floor:  # also P = 0, where lo = floor = 0
+        raise DegenerateInstanceError("the optimum is at the null corner (P x = 0)")
+    x = ridge(brentq(h, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+    x *= float(sp.c @ x) / (_norm(sp.P @ x) + rho * _norm(x)) ** 2
     return x, rpc_objective(sp, x, rho)

@@ -21,6 +21,8 @@ from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm, solve_
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
 from .sketch import SketchOperator
 
+DEFAULT_MU_FACTOR = 5.0  # default_mu's multiple of the smallest eigenvalue of P^T P
+
 
 @dataclass(eq=False)
 class SketchedProblem:
@@ -140,8 +142,8 @@ def solve_ridge_pcls(sp: SketchedProblem, mu: float) -> np.ndarray:
     return GramSolver(sp.P, mu).solve(sp.c)
 
 
-def default_mu(sp: SketchedProblem, factor: float = 5.0) -> float:
-    """Default ridge weight: ``factor`` times the smallest eigenvalue of P^T P.
+def default_mu(sp: SketchedProblem) -> float:
+    """Default ridge weight: ``DEFAULT_MU_FACTOR`` times the smallest eigenvalue of P^T P.
 
     A numerically singular P (smallest singular value at most
     ``RANK_REL_TOL`` times the largest) raises :class:`SingularMatrixError`:
@@ -151,7 +153,7 @@ def default_mu(sp: SketchedProblem, factor: float = 5.0) -> float:
     sigma = sp.spectral[0]
     if sigma[-1] <= RANK_REL_TOL * sigma[0]:
         raise SingularMatrixError("sketched matrix is numerically singular; no default ridge weight")
-    return float(factor) * float(sigma[-1]) ** 2
+    return DEFAULT_MU_FACTOR * float(sigma[-1]) ** 2
 
 
 # ---------------------------------------------------------------------------

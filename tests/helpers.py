@@ -30,3 +30,9 @@ def planted_problem(rng, M, N, residual_fraction=0.5, condition=None):
 
 def random_problem(rng, M, N):
     return LSProblem(A=rng.standard_normal((M, N)), b=rng.standard_normal(M))
+
+
+def haar(rng, rows, cols):
+    """Orthonormal columns from the Haar measure (QR of a Gaussian, signs fixed)."""
+    Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return Q * np.sign(np.diag(R))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import planted_problem, random_problem
+from helpers import haar, planted_problem, random_problem
 from sketchls import (
     ConvergenceError,
     DegenerateInstanceError,
@@ -213,6 +213,7 @@ class TestSolveRpc:
             # normalized-solution identity: gamma * alpha equals beta
             assert sol.gamma * sol.alpha == pytest.approx(sol.beta, rel=1e-6)
             assert sol.foc_residual <= 1e-6 * np.linalg.norm(sp.c)
+            assert stationarity_residual(sp, sol.x, rho) <= 1e-6 * np.linalg.norm(sp.c)
 
     def test_dual_value_equals_gauge_at_optimum(self):
         rng = np.random.default_rng(17)
@@ -256,6 +257,7 @@ class TestSolveRpc:
         sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=1.0))
         assert sol.converged
         assert sol.foc_residual <= 1e-6 * np.linalg.norm(c)
+        assert stationarity_residual(sp, sol.x, 1.0) <= 1e-6 * np.linalg.norm(c)
 
     def test_rank_deficient_null_corner(self):
         # rhs mass concentrated on the null space: optimum annihilates P
@@ -305,32 +307,47 @@ class TestSolveRpc:
             probe = sol.x * (1.0 + 1e-3 * rng.standard_normal(3))
             assert rpc_objective(sp, probe, 1.0) >= f_star - 1e-12
 
-    def test_near_the_null_corner(self):
-        # diagonal P with exact zeros and ||c_Z|| just under the corner
+    @staticmethod
+    def _near_corner_sweep(rng, trials, rotated):
+        # P with exact zero singular values and ||c_Z|| just under the corner
         # threshold rho sqrt(sum_R c^2 / sigma^2): s = ||P x|| / ||x|| sits
-        # near 0, so the bracket's lower end halves many times below sigma_max
-        rng = np.random.default_rng(29)
-        for trial in range(60):
+        # near 0, so the bracket's lower end halves many times below sigma_max.
+        # Rotated, P = U diag(sigma) V^T and c = V c0 with U and V Haar: V^T x
+        # then has parts of very different size, whose rounding a certificate
+        # recomputed from x would report
+        for trial in range(trials):
             N = int(rng.integers(2, 9))
             k = int(rng.integers(1, N))
             m = N + int(rng.integers(0, 4))
             sigma = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 11.99), N)
             sigma[N - k:] = 0.0
-            P = np.zeros((m, N))
-            P[np.arange(N), np.arange(N)] = sigma
+            if rotated:
+                V = haar(rng, N, N)
+                P = (haar(rng, m, N) * sigma) @ V.T
+            else:
+                V = np.eye(N)
+                P = np.zeros((m, N))
+                P[np.arange(N), np.arange(N)] = sigma
             rho = float(10.0 ** rng.uniform(-3, 3))
             c = rng.standard_normal(N)
             threshold = rho * np.sqrt(np.sum(c[: N - k] ** 2 / sigma[: N - k] ** 2))
             shrink = 1.0 - 10.0 ** -rng.uniform(1, 15.5)
             c[N - k:] *= threshold * shrink / np.linalg.norm(c[N - k:])
-            sp = SketchedProblem(P=P, q=np.zeros(m), c=c)
+            sp = SketchedProblem(P=P, q=np.zeros(m), c=V @ c)
             sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=rho))
-            assert math.isfinite(sol.gamma)
-            assert sol.foc_residual <= 1e-8 * np.linalg.norm(c)
+            # rotated, the rounding of V decides the corner when shrink is within ulps of 1
+            assert rotated or math.isfinite(sol.gamma), trial
+            assert sol.foc_residual <= 1e-8 * np.linalg.norm(sp.c), trial
             f_star = rpc_objective(sp, sol.x, rho)
             for _ in range(50):
                 probe = sol.x * (1.0 + 1e-3 * rng.standard_normal(N))
-                assert rpc_objective(sp, probe, rho) >= f_star - 1e-12 * abs(f_star)
+                assert rpc_objective(sp, probe, rho) >= f_star - 1e-12 * abs(f_star), trial
+
+    def test_near_the_null_corner(self):
+        self._near_corner_sweep(np.random.default_rng(29), 60, rotated=False)
+
+    def test_near_the_null_corner_rotated(self):
+        self._near_corner_sweep(np.random.default_rng(30), 300, rotated=True)
 
     def test_one_column_root_found_while_bracketing(self):
         # for N = 1 the root is exactly the bracket's end sigma_max, so no
@@ -422,6 +439,33 @@ class TestOracle:
             f_dual = rpc_objective(sp, sol.x, rho)
             assert f_dual <= f_oracle + 1e-6 * (1 + abs(f_oracle))
             assert stationarity_residual(sp, x_oracle, rho) <= 1e-9 * np.linalg.norm(sp.c)
+
+    def test_agrees_on_ill_conditioned_sketches(self):
+        # cond(P) from 1 to 1e10 and rho from 1e-4 to 1e2: a Gram matrix
+        # formed from such P rounds the ridge weight away
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            N = int(rng.integers(1, 11))
+            m = N + int(rng.integers(0, 6))
+            sigma = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 10), N)
+            P = (haar(rng, m, N) * sigma) @ haar(rng, N, N).T
+            sp = SketchedProblem(P=P, q=np.zeros(m), c=rng.standard_normal(N))
+            rho = float(10.0 ** rng.uniform(-4, 2))
+            sol = solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=rho))
+            f = rpc_objective(sp, sol.x, rho)
+            _, f_oracle = rpc_oracle(sp, rho)
+            assert abs(f - f_oracle) <= 1e-6 * (1 + abs(f)), trial
+
+    def test_raises_at_the_null_corner(self):
+        # test_rank_deficient_null_corner's instance, and P = 0: P x = 0 at
+        # the optimum
+        rng = np.random.default_rng(21)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((10, 4)), full_matrices=False)
+        P = (U * np.array([3.0, 2.0, 0.0, 0.0])) @ Vt
+        c = Vt.T @ np.array([0.5, 0.2, 4.0, 3.0])
+        for P in (P, np.zeros((10, 4))):
+            with pytest.raises(DegenerateInstanceError):
+                rpc_oracle(SketchedProblem(P=P, q=np.zeros(10), c=c), rho=1.0)
 
     def test_seeded_sweep_with_zero_singular_values(self):
         rng = np.random.default_rng(25)

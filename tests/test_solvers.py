@@ -181,7 +181,6 @@ class TestDefaultMu:
             P=np.diag([3.0, 2.0, 1.0]), q=np.zeros(3), c=np.zeros(3)
         )
         assert default_mu(sp) == pytest.approx(5.0)
-        assert default_mu(sp, factor=0.0) == 0.0
 
     def test_uniform_spectrum(self):
         sp = SketchedProblem(P=2.0 * np.eye(3), q=np.zeros(3), c=np.zeros(3))
