@@ -2,7 +2,8 @@
 
 Three families are provided:
 
-* ``gaussian`` -- dense i.i.d. N(0, 1/m) entries, held as a dense matrix;
+* ``gaussian`` -- dense i.i.d. N(0, 1/m) entries, never held: an apply
+  draws Phi again in row blocks and needs two blocks plus its outputs;
 * ``ros`` -- randomized orthogonal system: sign flips, a normalized
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
@@ -15,14 +16,16 @@ Three families are provided:
   sparse CSC matrix and applied in O(nnz).
 
 Randomness is drawn from a counter-based Philox generator keyed by
-``(seed, kind)``; every operator realizes its randomness at construction,
-so applying it is deterministic and safe to parallelize over column blocks.
+``(seed, kind)``; ``ros`` and ``count`` realize theirs at construction and
+``gaussian`` draws the same numbers afresh on every apply, so applying any
+operator is deterministic and safe to parallelize over column blocks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +79,13 @@ def next_pow_two(n: int) -> int:
 # bytes of one working block of the transform: small enough to stay in a
 # per-core L2 cache, large enough that numpy's per-call cost is negligible
 _BLOCK_BYTES = 1 << 20
+# bytes of one block of Gaussian rows: drawing it far outlasts a thread handoff
+_GAUSSIAN_BLOCK_BYTES = 32 << 20
 
 
-def _block_rows(row_bytes: int) -> int:
-    """Largest power of two number of rows whose bytes fit in one block,
-    and at least 1."""
-    rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+def _block_rows(row_bytes: int, budget: int = _BLOCK_BYTES) -> int:
+    """Largest power of two number of rows, at least 1, that fit ``budget``."""
+    rows = max(1, budget // max(row_bytes, 1))
     return 1 << (rows.bit_length() - 1)
 
 
@@ -185,12 +189,14 @@ def fwht(x: np.ndarray) -> np.ndarray:
 class SketchOperator:
     """A realized compression matrix Phi, applied as a linear map.
 
-    ``gaussian`` holds Phi as a dense array. ``count`` holds it in CSC form,
-    one entry per column, so building it sorts nothing and applying it reads
-    X row by row in order, adding each row into the small m-row output.
-    CSR gathers the rows of X in random order instead, at a speed that moves
-    with where X's pages land in memory. Each output row sums its terms in
-    the same order either way, so the result is bit-identical.
+    ``gaussian`` and ``ros`` keep ``matrix = None`` and apply Phi without
+    holding it, so an apply's memory follows from (m, M, N). ``count`` and
+    ``identity_sketch`` hold it in CSC form, one entry per column, so
+    building it sorts nothing and applying it reads X row by row in order,
+    adding each row into the small m-row output. CSR gathers the rows of X
+    in random order instead, at a speed that moves with where X's pages land
+    in memory. Each output row sums its terms in the same order either way,
+    so the result is bit-identical.
     """
 
     def __init__(self, spec: SketchSpec | None, matrix):
@@ -208,6 +214,10 @@ class SketchOperator:
     def apply(self, X):
         X = self._check_rows(X, self.matrix.shape[1], "input")
         return self.matrix @ X
+
+    def apply_each(self, *Xs) -> tuple:
+        """Each ``self.apply(X)``, bit for bit; ``gaussian`` draws Phi once for all."""
+        return tuple(self.apply(X) for X in Xs)
 
     def apply_transpose(self, Y):
         Y = self._check_rows(Y, self.matrix.shape[0], "input")
@@ -256,6 +266,57 @@ class RosSketch(SketchOperator):
         return out.reshape(-1) if flat else out
 
 
+class GaussianSketch(SketchOperator):
+    """Dense i.i.d. N(0, 1/m) entries, drawn again on every apply in row
+    blocks, as one ``standard_normal((m, M))`` draws them."""
+
+    def _each_block(self, use) -> None:
+        """Call ``use(rows, Phi[rows])`` on each block in order while a worker
+        thread draws the next one into the other buffer. Blocks start every
+        ``step`` rows (a power of two that fits the budget, 4 to m) and the
+        last one takes the rest: shorter blocks run other BLAS kernels (gemv,
+        small-matrix), whose sums differ in the last bits from Phi @ X's."""
+        m, M = self.spec.m, self.spec.M
+        step = min(m, max(4, _block_rows(8 * M, _GAUSSIAN_BLOCK_BYTES)))
+        bounds = [*range(0, m - step + 1, step), m]
+        rng = _spec_rng(self.spec)
+        buffers = np.empty((min(2, len(bounds) - 1), m - bounds[-2], M))
+
+        def draw(k):
+            block = buffers[k % 2][: bounds[k + 1] - bounds[k]]
+            rng.standard_normal(out=block)
+            block /= math.sqrt(m)
+            return block
+
+        with ThreadPoolExecutor(1) as pool:
+            pending = pool.submit(draw, 0)
+            for k in range(len(bounds) - 1):
+                block = pending.result()
+                if k + 2 < len(bounds):
+                    pending = pool.submit(draw, k + 1)
+                use(slice(bounds[k], bounds[k + 1]), block)
+
+    def apply(self, X):
+        return self.apply_each(X)[0]
+
+    def apply_each(self, *Xs) -> tuple:
+        Xs = [self._check_rows(X, self.spec.M, "input") for X in Xs]
+        outs = tuple(np.empty((self.spec.m,) + X.shape[1:]) for X in Xs)
+
+        def use(rows, block):
+            for X, out in zip(Xs, outs):
+                np.matmul(block, X, out=out[rows])
+
+        self._each_block(use)
+        return outs
+
+    def apply_transpose(self, Y):
+        Y = self._check_rows(Y, self.spec.m, "input")
+        out = np.zeros((self.spec.M,) + Y.shape[1:])
+        self._each_block(lambda rows, block: np.add(out, block.T @ Y[rows], out=out))
+        return out
+
+
 def _count_matrix(m: int, rows: np.ndarray, signs: np.ndarray) -> sparse.csc_matrix:
     """m-row CSC matrix whose column j holds ``signs[j]`` in row ``rows[j]``."""
     return sparse.csc_matrix((signs, rows, np.arange(len(rows) + 1)), shape=(m, len(rows)))
@@ -263,9 +324,9 @@ def _count_matrix(m: int, rows: np.ndarray, signs: np.ndarray) -> sparse.csc_mat
 
 def make_sketch(spec: SketchSpec) -> SketchOperator:
     """Realize the operator described by ``spec``."""
-    rng = _spec_rng(spec)
     if spec.kind == "gaussian":
-        return SketchOperator(spec, rng.standard_normal((spec.m, spec.M)) / math.sqrt(spec.m))
+        return GaussianSketch(spec, matrix=None)
+    rng = _spec_rng(spec)
     if spec.kind == "ros":
         signs = rng.integers(0, 2, size=spec.M) * 2.0 - 1.0
         rows = rng.choice(next_pow_two(spec.M), size=spec.m, replace=False)

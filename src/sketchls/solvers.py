@@ -41,8 +41,7 @@ class SketchedProblem:
 
     @classmethod
     def from_problem(cls, problem: LSProblem, op: SketchOperator) -> "SketchedProblem":
-        P = op.apply(problem.A)
-        q = op.apply(problem.b)
+        P, q = op.apply_each(problem.A, problem.b)
         return cls(P=P, q=q, c=problem.A.T @ problem.b)
 
     @property

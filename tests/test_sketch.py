@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 
@@ -15,7 +16,8 @@ from sketchls import (
     make_sketch,
     sketch_flops_estimate,
 )
-from sketchls.sketch import _BLOCK_BYTES, KINDS, next_pow_two
+from sketchls import sketch
+from sketchls.sketch import _BLOCK_BYTES, KINDS, _spec_rng, next_pow_two
 
 
 def butterfly_reference(X):
@@ -228,6 +230,93 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * M * N * 8
+
+    # 3 blocks, the last of 18 rows; one block; budgets of 1 and 2 rows
+    # (4-row blocks, the last of 6 rows); and at the real budget one 32-row
+    # block plus one row, which drawn and multiplied apart went to gemv and
+    # changed its bits. Blocks as small as the patched budgets make are GEMMs
+    # small enough for OpenBLAS's small-matrix kernels, which at width 8
+    # change the last bits; no block of the real budget is that small.
+    @pytest.mark.parametrize(
+        "m, M, budget_rows",
+        [(50, 3000, 16), (50, 3000, None), (50, 3000, 1), (50, 3000, 2), (33, 100_000, None)],
+    )
+    @pytest.mark.parametrize("layout", ["vector", "matrix", "fortran"])
+    def test_gaussian_apply_matches_dense_product_bitwise(
+        self, monkeypatch, m, M, budget_rows, layout
+    ):
+        if budget_rows is not None:
+            monkeypatch.setattr(sketch, "_GAUSSIAN_BLOCK_BYTES", budget_rows * 8 * M)
+        spec = SketchSpec(kind="gaussian", m=m, M=M, seed=4)
+        phi = _spec_rng(spec).standard_normal((m, M)) / math.sqrt(m)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal(M) if layout == "vector" else rng.standard_normal((M, 6))
+        if layout == "fortran":
+            X = np.asfortranarray(X)
+        b = rng.standard_normal(M)
+        op = make_sketch(spec)
+        assert op.matrix is None
+        assert op.apply(X).tobytes() == (phi @ X).tobytes()
+        P, q = op.apply_each(X, b)
+        assert P.tobytes() == (phi @ X).tobytes() and q.tobytes() == (phi @ b).tobytes()
+        Y = rng.standard_normal((m, 3))
+        assert_allclose(op.apply_transpose(Y), phi.T @ Y, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS + (None,))
+    def test_apply_each_is_apply_on_each(self, kind):
+        op = identity_sketch(40) if kind is None else make_sketch(SketchSpec(kind, 9, 40, 2))
+        rng = np.random.default_rng(9)
+        A, b = rng.standard_normal((40, 5)), rng.standard_normal(40)
+        P, q = op.apply_each(A, b)
+        assert P.tobytes() == op.apply(A).tobytes() and q.tobytes() == op.apply(b).tobytes()
+
+    def test_gaussian_apply_holds_two_blocks_not_phi(self, monkeypatch):
+        # memory is predictable from (m, M, N): two row blocks of Phi and the
+        # output, not the m x M matrix
+        monkeypatch.setattr(sketch, "_GAUSSIAN_BLOCK_BYTES", 1 << 20)
+        m, M, N = 512, 20_000, 8
+        X = np.random.default_rng(0).standard_normal((M, N))
+        tracemalloc.start()
+        try:
+            make_sketch(SketchSpec(kind="gaussian", m=m, M=M, seed=0)).apply(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * M * 8
+
+    def test_gaussian_block_is_not_overwritten_while_in_use(self, monkeypatch):
+        # the worker draws the next block while the caller still reads this one
+        monkeypatch.setattr(sketch, "_GAUSSIAN_BLOCK_BYTES", 8 * 8 * 2000)  # 8, 8 and 14 rows
+        spec = SketchSpec(kind="gaussian", m=30, M=2000, seed=2)
+        phi = _spec_rng(spec).standard_normal((30, 2000)) / math.sqrt(30)
+        seen = []
+
+        def use(rows, block):
+            first = block.copy()
+            time.sleep(0.01)  # far longer than drawing one block
+            seen.append(first.tobytes() == block.tobytes() == phi[rows].tobytes())
+
+        make_sketch(spec)._each_block(use)
+        assert seen == [True] * 3
+
+    def test_gaussian_apply_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(sketch, "_GAUSSIAN_BLOCK_BYTES", 4 * 8 * 500)  # 4-row blocks
+        op = make_sketch(SketchSpec(kind="gaussian", m=30, M=500, seed=1))
+        before = threading.active_count()
+        op.apply(np.ones((500, 2)))
+        assert threading.active_count() == before
+        op.apply_transpose(np.ones(30))
+        assert threading.active_count() == before
+        with pytest.raises(DimensionError):
+            op.apply(np.ones((501, 2)))
+        assert threading.active_count() == before
+
+        def fail(rows, block):
+            raise RuntimeError("stop mid-stream")
+
+        with pytest.raises(RuntimeError):
+            op._each_block(fail)  # an error between blocks still joins the worker
+        assert threading.active_count() == before
 
     def test_vector_round_trip_shape(self):
         op = make_sketch(SketchSpec(kind="ros", m=3, M=10, seed=0))
