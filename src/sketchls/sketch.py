@@ -9,9 +9,10 @@ Three families are provided:
   uniform row subsampling without replacement, scaled so that
   E[Phi^T Phi] = I on the original coordinates, never formed as a matrix;
   apply never forms the padding either: it transforms the M rows in place,
-  in power-of-two pieces and cache-sized blocks of rows, combines only the
-  m sampled rows, and is bit-identical to the plain stage-by-stage
-  butterfly on the padded length;
+  in power-of-two pieces and cache-sized blocks of rows, runs the stages
+  above a block only for the sampled rows, combines only those, and is
+  bit-identical to the plain stage-by-stage butterfly on the padded length;
+  the caller and one worker thread share the work;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
   sparse CSC matrix and applied in O(nnz).
 
@@ -83,66 +84,131 @@ _BLOCK_BYTES = 1 << 20
 _GAUSSIAN_BLOCK_BYTES = 32 << 20
 
 
-def _block_rows(row_bytes: int, budget: int = _BLOCK_BYTES) -> int:
+def _block_rows(row_bytes: int, budget: int) -> int:
     """Largest power of two number of rows, at least 1, that fit ``budget``."""
     rows = max(1, budget // max(row_bytes, 1))
     return 1 << (rows.bit_length() - 1)
 
 
+def _phase_rows(n: int, w: int) -> int:
+    """Rows B of one phase-1 block of the transform of an (n, w) array: a
+    power of two that fits a cache block, or n when the whole array fits
+    one or a single row does not."""
+    B = min(n, _block_rows(8 * w, _BLOCK_BYTES))
+    return n if B == 1 else B
+
+
+def _scratch(size: int) -> np.ndarray:
+    """Scratch for ``_butterflies`` on ``size`` elements: half of them, so
+    that each stage runs in one piece, but at most a quarter block."""
+    return np.empty(max(1, min(size // 2, _BLOCK_BYTES // 32)))
+
+
+def _halves(pool, work, items: range) -> None:
+    """``work`` on the first half of ``items`` in the worker of the
+    one-thread ``pool`` and on the rest in the caller, or on all of them in
+    the caller when ``pool`` is None. An error on either side is raised."""
+    if pool is None:
+        work(items)
+        return
+    first = pool.submit(work, items[: len(items) // 2])
+    work(items[len(items) // 2 :])
+    first.result()
+
+
 def _butterflies(a: np.ndarray, t: np.ndarray) -> None:
     """Every stage of the transform on the rows of a C-contiguous ``a``, in
     place: stage h replaces each pair (x, y) of rows h apart within blocks
-    of 2h rows by (x + y, x - y). ``t`` is scratch of half a's size."""
+    of 2h rows by (x + y, x - y). ``t`` is scratch, at least one element; a
+    stage whose x half outgrows it runs in pieces of at most its size."""
     n, w = a.shape
     h = 1
-    while h < n:
-        pairs = a.reshape(n // (2 * h), 2, h, w)
-        x, y = pairs[:, 0], pairs[:, 1]
-        diff = t.reshape(n // (2 * h), h, w)
-        np.subtract(x, y, out=diff)
-        np.add(x, y, out=x)
-        y[...] = diff
+    while h < n and w:
+        pairs = a.reshape(n // (2 * h), 2, h * w)
+        groups = max(1, t.size // (h * w))
+        cols = min(h * w, t.size)
+        for g in range(0, len(pairs), groups):
+            for c in range(0, h * w, cols):
+                piece = pairs[g : g + groups, :, c : c + cols]
+                x, y = piece[:, 0], piece[:, 1]
+                diff = t[: x.size].reshape(x.shape)
+                np.subtract(x, y, out=diff)
+                np.add(x, y, out=x)
+                y[...] = diff
         h *= 2
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
+def _fwht_inplace(
+    a: np.ndarray, rows: np.ndarray | None = None, pool=None
+) -> np.ndarray | None:
     """Unnormalized Walsh-Hadamard transform of the rows of a C-contiguous
-    2-D ``a``, in place and in cache-sized blocks.
+    2-D ``a``, in place and in cache-sized blocks. Given ``rows``, returns
+    those rows of the transform as a new array instead and leaves ``a`` as
+    scratch.
 
     With B rows per block, H_n = (H_{n/B} (x) I_B)(I_{n/B} (x) H_B). Phase 1
     runs the stages h < B on each block of B contiguous rows. Phase 2 runs
-    the stages h >= B: it copies the rows at stride B that those stages mix
-    into a contiguous buffer of half a block, transforms it (recursively, so
-    it too stays in blocks) and writes it back. Phase 1's scratch is freed
-    first, so phase 2's buffer and the quarter block that transforming it
-    takes stay within one block. The butterflies and their order are those
-    of ``_butterflies`` on the whole array, so the result is bit-identical
-    to it. A row wider than a block gives one-row blocks, and then the
-    stages run on the whole array.
+    the stages h >= B, which mix only rows whose index has the same inner
+    part r mod B: for a chunk of inner indices it copies those rows into a
+    contiguous buffer, transforms it (recursively, so it too stays in
+    blocks) and writes it back; given ``rows``, it runs only the inner
+    indices of ``rows`` and writes row r // B of each straight into the
+    output. The butterflies and their order are those of ``_butterflies`` on
+    the whole array, so the result is bit-identical to it.
+
+    With a one-thread ``pool``, the caller and its worker each take half of
+    phase 1's blocks and of phase 2's chunks. Each thread's scratch stays
+    within half a block, so the two together hold at most one block: a
+    quarter block in phase 1, and in phase 2 a buffer of at most a third of
+    a block and half as much again for its butterflies. Only when the rows
+    of one inner index outgrow a third of a block does a thread hold those
+    rows and half as much again. Recursive calls run on the calling thread
+    only: a worker waiting on its own pool would wait forever.
     """
     n, w = a.shape
-    B = min(n, _block_rows(8 * w))
-    if B in (1, n) or not a.size:
-        _butterflies(a, np.empty(a.size // 2))
-        return
-    t = np.empty(B * w // 2)
-    for start in range(0, n, B):
-        _butterflies(a[start : start + B], t)
-    del t
+    B = _phase_rows(n, w)
+    if B == n:
+        _butterflies(a, _scratch(a.size))
+        return None if rows is None else a[rows]
+
+    def phase1(starts):
+        t = _scratch(B * w)
+        for start in starts:
+            _butterflies(a[start : start + B], t)
+
+    _halves(pool, phase1, range(0, n, B))
     outer = n // B
-    blocks = a.reshape(outer, B * w)  # row i holds block i
-    width = min(B, _block_rows(2 * 8 * w * outer)) * w
-    buf = np.empty((outer, width))
-    for j in range(0, B * w, width):
-        buf[...] = blocks[:, j : j + width]
-        _fwht_inplace(buf)
-        blocks[:, j : j + width] = buf
+    blocks = a.reshape(outer, B, w)  # blocks[i, k] is row i B + k
+    if rows is None:
+        inner = np.arange(B)
+    else:
+        inner = np.unique(rows & (B - 1))
+        pos = np.searchsorted(inner, rows & (B - 1))
+        out = np.empty((len(rows), w))
+    # 12 bytes per buffered element: 8 for it and 4 for butterfly scratch
+    per = max(1, min(_BLOCK_BYTES // 2 // (12 * w * outer), -(-len(inner) // 2)))
+
+    def phase2(starts):
+        buf = np.empty(outer * per * w)
+        for lo in starts:
+            idx = inner[lo : lo + per]
+            part = buf[: outer * len(idx) * w].reshape(outer, len(idx), w)
+            np.take(blocks, idx, axis=1, out=part, mode="clip")
+            _fwht_inplace(part.reshape(outer, -1))
+            if rows is None:
+                blocks[:, lo : lo + per] = part
+            else:
+                kept = np.flatnonzero((pos >= lo) & (pos < lo + per))
+                out[kept] = part[rows[kept] // B, pos[kept] - lo]
+
+    _halves(pool, phase2, range(0, len(inner), per))
+    return None if rows is None else out
 
 
-def _padded_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _padded_rows(a: np.ndarray, rows: np.ndarray, pool=None) -> np.ndarray:
     """Rows ``rows`` (mod n) of H_n [a; 0], the transform of the C-contiguous
     2-D ``a`` zero-padded to n = next_pow_two(len(a)), without forming the
-    padding. Overwrites ``a``.
+    padding. Overwrites ``a``; ``pool`` is passed on to ``_fwht_inplace``.
 
     With h = n/2 and a = [a1; a2], the stages below h transform a1 and
     [a2; 0] apart, and row j of H_h [a2; 0] is row j mod n2 of H_n2 [a2; 0],
@@ -155,19 +221,17 @@ def _padded_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     n = next_pow_two(len(a))
     rows = rows & (n - 1)
     if n == len(a):
-        _fwht_inplace(a)
-        return a[rows]
+        return _fwht_inplace(a, rows, pool)
     h = n // 2
-    _fwht_inplace(a[:h])
     j = rows & (h - 1)
-    tail = _padded_rows(a[h:], j)
+    out = _fwht_inplace(a[:h], j, pool)
+    tail = _padded_rows(a[h:], j, pool)
     # the padded stages n2 .. h/2 add a +0 partner to row j wherever its bit
     # is clear, which turns a -0.0 into +0.0; repeat that on the kept rows
     skipped = h - next_pow_two(len(a) - h)
     np.add(tail, 0.0, out=tail, where=((j & skipped) != skipped)[:, None])
     # Y1 - Y2 is Y1 + (-Y2) exactly
     np.negative(tail, out=tail, where=(rows >= h)[:, None])
-    out = a[j]
     out += tail
     return out
 
@@ -182,7 +246,8 @@ def fwht(x: np.ndarray) -> np.ndarray:
     n = out.shape[0]
     if n & (n - 1):
         raise DimensionError(f"length {n} is not a power of two")
-    _fwht_inplace(out.reshape(n, math.prod(out.shape[1:])))
+    with ThreadPoolExecutor(1) as pool:
+        _fwht_inplace(out.reshape(n, math.prod(out.shape[1:])), pool=pool)
     return out
 
 
@@ -235,8 +300,9 @@ class RosSketch(SketchOperator):
     1/sqrt(m) makes E[Phi^T Phi] = I on the unpadded coordinates, and the
     full-sampling case m = M = M_pad gives an exactly orthogonal operator.
     Phi is never formed, and ``apply`` never forms the padding: it needs one
-    M-row copy of its input, scratch of at most a cache block and a few
-    m-row arrays.
+    M-row copy of its input, a few m-row arrays and scratch of one cache
+    block, which it shares out between the calling thread and the one worker
+    that each apply starts and joins.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
@@ -250,8 +316,14 @@ class RosSketch(SketchOperator):
         flat = X.ndim == 1
         Xm = X.reshape(self.spec.M, -1)
         signed = np.empty(Xm.shape)
-        np.multiply(self.signs[:, None], Xm, out=signed)
-        out = _padded_rows(signed, self.rows)
+
+        def flip(part):
+            part = slice(part.start, part.stop)
+            np.multiply(self.signs[part, None], Xm[part], out=signed[part])
+
+        with ThreadPoolExecutor(1) as pool:
+            _halves(pool, flip, range(self.spec.M))
+            out = _padded_rows(signed, self.rows, pool)
         out /= math.sqrt(self.spec.m)
         return out.reshape(-1) if flat else out
 
@@ -261,7 +333,8 @@ class RosSketch(SketchOperator):
         Ym = Y.reshape(self.spec.m, -1)
         scattered = np.zeros((self.m_pad, Ym.shape[1]))
         scattered[self.rows] = Ym
-        _fwht_inplace(scattered)
+        with ThreadPoolExecutor(1) as pool:
+            _fwht_inplace(scattered, pool=pool)
         out = self.signs[:, None] * scattered[: self.spec.M] / math.sqrt(self.spec.m)
         return out.reshape(-1) if flat else out
 
@@ -347,14 +420,20 @@ def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> f
     if spec.kind == "gaussian":
         return float(spec.m) * spec.M * N
     if spec.kind == "ros":
-        # what RosSketch.apply runs: n log2 n per power-of-two piece of the
-        # rows, and one add per kept row to combine each piece with its tail
+        # what RosSketch.apply runs on each power-of-two piece of n rows:
+        # phase 1's log2 B stages on every row, phase 2's log2(n/B) stages on
+        # the n/B rows of each of at most min(m, B) inner indices, and one
+        # add per kept row to combine the piece with its tail
+        def piece(n):
+            B = _phase_rows(n, N)
+            return n * math.log2(B) + min(spec.m, B) * (n // B) * math.log2(n // B)
+
         flops, rows = 0.0, spec.M
         while rows & (rows - 1):
             h = next_pow_two(rows) // 2
-            flops += h * math.log2(h) + spec.m
+            flops += piece(h) + spec.m
             rows -= h
-        return (flops + rows * math.log2(rows)) * N
+        return (flops + piece(rows)) * N
     if nnz is None:
         raise ValueError("count sketch estimate needs the nonzero count")
     return float(nnz)

@@ -231,6 +231,74 @@ class TestApply:
             tracemalloc.stop()
         assert peak < 1.5 * M * N * 8
 
+    def test_ros_apply_splits_and_prunes_within_the_bound(self):
+        # 8 blocks of 2,048 rows split between two threads, and 279 of the
+        # 2,048 inner indices kept, in 4 phase-2 chunks: together the
+        # threads' scratch stays within one block
+        M, N = 2**14, 64
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=0))
+        X = np.random.default_rng(0).standard_normal((M, N))
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M * N * 8
+
+    # With the block budget patched to 16 rows of 64 columns, 64-column
+    # inputs keep every inner index (m >= B = 16) and phase 2 recurses into
+    # blocks of its own; vectors get B = 1,024. With a budget of 1,024 rows,
+    # 64-column inputs get B = 1,024 and vectors one block. At B = 1,024 the
+    # 200 kept rows share inner indices (186 or 188 distinct), which phase 2
+    # takes in 3 chunks, an odd number to split between the two threads.
+    @pytest.mark.parametrize("budget_rows", [16, 1024])
+    @pytest.mark.parametrize("M", [2**12, 2**12 + 1])
+    @pytest.mark.parametrize("layout", ["vector", "matrix", "fortran"])
+    def test_ros_apply_matches_butterflies_across_blocks(
+        self, monkeypatch, budget_rows, M, layout
+    ):
+        monkeypatch.setattr(sketch, "_BLOCK_BYTES", budget_rows * 8 * 64)
+        rng = np.random.default_rng(M + budget_rows)
+        op = make_sketch(SketchSpec(kind="ros", m=200, M=M, seed=5))
+        if layout == "vector":
+            X = rng.standard_normal(M)
+        else:
+            X = rng.standard_normal((M, 64))
+            X[:, 32:] = rng.choice([0.0, -0.0], size=(M, 32))
+            if layout == "fortran":
+                X = np.asfortranarray(X)
+        padded = np.zeros((next_pow_two(M),) + X.shape[1:])
+        padded[:M] = op.signs.reshape((M,) + (1,) * (X.ndim - 1)) * X
+        expected = butterfly_reference(padded)[op.rows] / math.sqrt(op.spec.m)
+        assert op.apply(X).tobytes() == expected.tobytes()
+
+    def test_ros_apply_leaves_no_thread(self, monkeypatch):
+        M = 2**14
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=1))
+        X = np.ones((M, 64))
+        before = threading.active_count()
+        op.apply(X)
+        assert threading.active_count() == before
+        op.apply_transpose(np.ones((300, 64)))
+        assert threading.active_count() == before
+        with pytest.raises(DimensionError):
+            op.apply(np.ones((M + 1, 2)))
+        assert threading.active_count() == before
+
+        caller = threading.current_thread()
+        butterflies = sketch._butterflies
+
+        def fail_in_worker(a, t):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("stop in the worker's share")
+            butterflies(a, t)
+
+        monkeypatch.setattr(sketch, "_butterflies", fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker's share"):
+            op.apply(X)
+        assert threading.active_count() == before
+
     # 3 blocks, the last of 18 rows; one block; budgets of 1 and 2 rows
     # (4-row blocks, the last of 6 rows); and at the real budget one 32-row
     # block plus one row, which drawn and multiplied apart went to gemv and
@@ -393,6 +461,13 @@ class TestFlopsEstimate:
         # combines of the 10 kept rows; not 128 log2 128 on the padding
         spec = SketchSpec(kind="ros", m=10, M=100, seed=0)
         assert sketch_flops_estimate(spec, N=2) == (64 * 6 + 32 * 5 + 4 * 2 + 2 * 10) * 2
+
+    def test_ros_counts_only_kept_inner_indices(self):
+        # 2^17 rows of 50 columns: blocks of B = 2,048 rows, 11 stages each,
+        # then the 6 stages of phase 2 on 2^17 / B = 64 rows for each of the
+        # at most 200 inner indices that the kept rows need
+        spec = SketchSpec(kind="ros", m=200, M=2**17, seed=0)
+        assert sketch_flops_estimate(spec, N=50) == (2**17 * 11 + 200 * 64 * 6) * 50
 
     def test_count_uses_nnz(self):
         spec = SketchSpec(kind="count", m=10, M=100, seed=0)
