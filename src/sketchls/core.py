@@ -7,6 +7,7 @@ judged by.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,10 @@ from .exceptions import (
 
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
+
+# bytes of the rows of [A b] that the two threads of the QR fold at a time,
+# half each, so that their buffers together stay within about one budget
+_BLOCK_BYTES = 1 << 20
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -45,6 +50,26 @@ def _norm(v) -> float:
     return float(norm(v, check_finite=False))
 
 
+def _fold(r, blocks) -> np.ndarray:
+    """R of a Householder QR of ``r`` stacked on ``[A_k b_k]`` for each
+    ``(A_k, b_k)`` in ``blocks``, folded one block at a time: ``r <-
+    qr_r([r; A_k b_k])``. ``r`` is None or has the width of ``[A_k b_k]``.
+    Each stack is copied into a prefix of one flat buffer, which is
+    Fortran-contiguous, so LAPACK factors it in place."""
+    w = blocks[0][0].shape[1] + 1
+    store = np.empty((w + max(len(A) for A, _ in blocks)) * w)
+    for A, b in blocks:
+        k = 0 if r is None else len(r)
+        buf = store[: (k + len(A)) * w].reshape(k + len(A), w, order="F")
+        if k:
+            buf[:k] = r
+        buf[k:, :-1] = A
+        buf[k:, -1] = b
+        # "raw" keeps R to its top rows; "r" would copy a full triu of buf
+        _, r = qr(buf, mode="raw", overwrite_a=True, check_finite=False)
+    return r
+
+
 @dataclass(eq=False)
 class LSProblem:
     """A dense overdetermined least-squares instance ``min ||Ax - b||``.
@@ -52,9 +77,10 @@ class LSProblem:
     ``A`` is M x N with M >= N >= 1 and full column rank; construction
     rejects matrices whose smallest singular value falls below
     ``RANK_REL_TOL`` times the largest. Construction computes the R factor
-    of a Householder QR of ``[A b]``, which the exact solve, the condition
-    number and every accuracy metric reuse, so ``A`` and ``b`` must not be
-    mutated after construction.
+    of a QR of ``[A b]`` (a two-thread TSQR, see ``_r_aug``), which the
+    exact solve, the condition number and every accuracy metric reuse, so
+    ``A`` and ``b`` must not be mutated after construction. The QR holds
+    no copy of ``[A b]``: its memory is O(block + (N+1)^2) per thread.
     """
 
     A: np.ndarray
@@ -72,15 +98,29 @@ class LSProblem:
 
     @cached_property
     def _r_aug(self) -> np.ndarray:
-        """R of a Householder QR of ``[A b]``: (N+1) x (N+1), or N x (N+1)
-        when M == N. Its leading N x N block has the singular values of A,
-        and ``||A x - b|| = ||R_aug [x; -1]||``."""
+        """R of a QR of ``[A b]``: (N+1) x (N+1), or N x (N+1) when M == N.
+        Its leading N x N block has the singular values of A, and
+        ``||A x - b|| = ||R_aug [x; -1]||``.
+
+        A flat-tree TSQR: the rows are split into blocks of half
+        ``_BLOCK_BYTES`` and at least 4(N+1) rows; the worker of a one-thread
+        pool folds the first half of the blocks, the caller the rest, and one
+        last QR combines the two R's. The split is fixed, so equal inputs
+        give a bit-identical R; with one block it is a single Householder QR.
+        Its rows may differ in sign from that of one QR of the whole
+        ``[A b]``, which none of its consumers sees: the triangular solve,
+        the singular values and the norms of ``R_aug v`` ignore row signs.
+        """
         M, N = self.A.shape
-        buf = np.empty((M, N + 1), order="F")  # LAPACK factors it in place
-        buf[:, :N] = self.A
-        buf[:, N] = self.b
-        # "raw" keeps R to its top N+1 rows; "r" would copy a full M-row triu
-        _, r_aug = qr(buf, mode="raw", overwrite_a=True, check_finite=False)
+        step = max(4 * (N + 1), _BLOCK_BYTES // (16 * (N + 1)))
+        blocks = [(self.A[lo : lo + step], self.b[lo : lo + step]) for lo in range(0, M, step)]
+        if len(blocks) == 1:
+            r_aug = _fold(None, blocks)
+        else:
+            with ThreadPoolExecutor(1) as pool:
+                first = pool.submit(_fold, None, blocks[: len(blocks) // 2])
+                last = _fold(None, blocks[len(blocks) // 2 :])
+                r_aug = _fold(first.result(), [(last[:, :N], last[:, N])])
         svals = svdvals(r_aug[:N, :N], check_finite=False)
         if svals[-1] <= RANK_REL_TOL * svals[0]:
             raise RankDeficientError(

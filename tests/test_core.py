@@ -1,9 +1,11 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import svdvals
+from scipy.linalg import qr, svdvals
 
 from helpers import planted_problem, random_problem
 from sketchls import (
@@ -18,6 +20,7 @@ from sketchls import (
     relative_residual_profile,
     solve_ols,
 )
+from sketchls import core
 
 
 class TestLSProblem:
@@ -238,6 +241,19 @@ class TestOneFactor:
         (60, 7, False), (200, 12, False), (9, 9, False), (9, 9, True), (50, 6, True),
     ])
     def test_matches_direct_formulas(self, M, N, consistent):
+        self.check_direct_formulas(M, N, consistent)
+
+    # budget 0 splits [A b] into blocks of the 4(N+1)-row floor: 2, 4 and 2
+    # blocks, and 5 for 131 x 7, whose last block has 3 < N+1 rows
+    @pytest.mark.parametrize("M, N, consistent", [
+        (60, 7, False), (200, 12, False), (50, 6, True), (131, 7, False),
+    ])
+    def test_matches_direct_formulas_across_blocks(self, monkeypatch, M, N, consistent):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        self.check_direct_formulas(M, N, consistent)
+
+    @staticmethod
+    def check_direct_formulas(M, N, consistent):
         rng = np.random.default_rng(M * N + consistent)
         A = rng.standard_normal((M, N))
         b = A @ rng.standard_normal(N) if consistent else rng.standard_normal(M)
@@ -253,3 +269,68 @@ class TestOneFactor:
         assert eps_optimality(xhat, problem, x_ls) == pytest.approx(eps, rel=1e-10)
         report = make_report(problem, x_ls, xhat, "pcls")
         assert report.residual_norm == pytest.approx(np.linalg.norm(A @ xhat - b), rel=1e-10)
+
+
+class TestTsqr:
+    """The QR of [A b] folds blocks of rows on two threads; patching the
+    block budget to 0 gives blocks of the 4(N+1)-row floor."""
+
+    # 5 blocks, the last of 3 < N+1 rows; 2 blocks, the caller's one of 3
+    # rows; 63 blocks; M == N in one block; and blocks of 50 rows set by the
+    # budget, the last of 1 row
+    @pytest.mark.parametrize("M, N, budget", [
+        (131, 7, 0), (35, 7, 0), (1000, 3, 0), (9, 9, 0), (1001, 4, 16 * 5 * 50),
+    ])
+    def test_matches_one_householder_qr(self, monkeypatch, M, N, budget):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(M + N)
+        A, b = rng.standard_normal((M, N)), rng.standard_normal(M)
+        r_aug = LSProblem(A=A, b=b)._r_aug
+        ref = qr(np.column_stack([A, b]), mode="r")[0][: N + 1]
+        assert r_aug.shape == ref.shape == (min(M, N + 1), N + 1)
+        assert np.abs(np.abs(r_aug) - np.abs(ref)).max() <= 1e-13 * np.abs(ref).max()
+        assert LSProblem(A=A, b=b)._r_aug.tobytes() == r_aug.tobytes()
+
+    def test_rejects_duplicated_column_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        A = np.random.default_rng(16).standard_normal((300, 5))
+        A[:, 4] = A[:, 1]
+        with pytest.raises(RankDeficientError):
+            LSProblem(A=A, b=np.ones(300))
+
+    def test_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((300, 5))
+        before = threading.active_count()
+        LSProblem(A=A, b=np.ones(300))
+        assert threading.active_count() == before
+        with pytest.raises(RankDeficientError):
+            LSProblem(A=np.ones((300, 5)), b=np.ones(300))
+        assert threading.active_count() == before
+
+        caller = threading.current_thread()
+
+        def fail_in_worker(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("stop in the worker's share")
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(core, "qr", fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker's share"):
+            LSProblem(A=A, b=np.ones(300))
+        assert threading.active_count() == before
+
+    def test_construction_stays_within_a_quarter_of_a(self):
+        # 17 blocks of at most 1,008 rows; each thread holds one block and
+        # an R, where one QR of the whole [A b] copied it
+        M, N = 2**14, 64
+        rng = np.random.default_rng(18)
+        A, b = rng.standard_normal((M, N)), rng.standard_normal(M)
+        tracemalloc.start()
+        try:
+            LSProblem(A=A, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * M * N * 8

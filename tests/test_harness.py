@@ -21,7 +21,8 @@ from sketchls import (
     solve_ols,
     split_rows,
 )
-from sketchls.harness import COHERENCE_CLASSES
+from helpers import haar
+from sketchls.harness import COHERENCE_CLASSES, _haar_columns
 
 
 def measured_condition(A):
@@ -83,6 +84,25 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 5, 0.5, "incoherent", seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 5, 10.0, "striped", seed=0)
+
+
+class TestHaarColumns:
+    # CholeskyQR2 on the tall shapes, a Householder QR on the others
+    @pytest.mark.parametrize("rows, cols", [(500, 40), (80, 40), (79, 40), (30, 30)])
+    def test_matches_sign_normalized_householder_q(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        Q = _haar_columns(rng, rows, cols)
+        drawn = np.random.default_rng(rows + cols)
+        ref = haar(drawn, rows, cols)
+        assert Q.shape == (rows, cols)
+        assert np.linalg.norm(Q.T @ Q - np.eye(cols), 2) <= 1e-14
+        assert np.abs(Q - ref).max() <= 1e-13
+        # one draw of a (rows, cols) Gaussian, nothing before or after it
+        assert rng.bit_generator.state == drawn.bit_generator.state
+
+    def test_incoherent_condition_is_the_one_requested(self):
+        p = generate_synthetic(4096, 32, condition=1e4, coherence="incoherent", seed=2)
+        assert measured_condition(p.A) == pytest.approx(1e4, rel=1e-10)
 
 
 class TestLoadCsv:
