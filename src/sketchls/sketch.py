@@ -7,10 +7,9 @@ Three families are provided:
 * ``ros`` -- randomized orthogonal system: sign flips, a normalized
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
-  E[Phi^T Phi] = I on the original coordinates, never formed as a matrix;
-  apply never forms the padding either: it transforms the M rows in place,
-  in power-of-two pieces and cache-sized blocks of rows, runs the stages
-  above a block only for the sampled rows, combines only those, and is
+  E[Phi^T Phi] = I on the original coordinates; neither Phi nor the
+  padding is formed: apply transforms blocks of the M rows in place, then
+  combines each sampled row's rows of the blocks in one butterfly tree,
   bit-identical to the plain stage-by-stage butterfly on the padded length;
   the caller and one worker thread share the work;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
@@ -90,12 +89,25 @@ def _block_rows(row_bytes: int, budget: int) -> int:
     return 1 << (rows.bit_length() - 1)
 
 
-def _phase_rows(n: int, w: int) -> int:
-    """Rows B of one phase-1 block of the transform of an (n, w) array: a
-    power of two that fits a cache block, or n when the whole array fits
-    one or a single row does not."""
-    B = min(n, _block_rows(8 * w, _BLOCK_BYTES))
-    return n if B == 1 else B
+def _ros_blocks(m: int, M: int, w: int) -> tuple[int, int, int]:
+    """(H, blocks, last) of a ros apply on M rows of width w: H is the least
+    power of two from a cache block's rows up at which the m kept rows' trees
+    (m n / H leaves of w values, n = next_pow_two(M)) hold at most M rows; the
+    ceil(M / H) blocks of H rows end in one zero-padded to ``last``, a power of two."""
+    n = next_pow_two(M)
+    H = min(n, _block_rows(8 * w, _BLOCK_BYTES))
+    while H * M < m * n:
+        H *= 2
+    blocks = -(-M // H)
+    return H, blocks, next_pow_two(M - (blocks - 1) * H)
+
+
+def _leaf_rows(r: np.ndarray, H: int, blocks: int, last: int) -> np.ndarray:
+    """(blocks, len(r)) rows of the blocks that transform rows ``r`` read:
+    row r mod H of each block of H rows, and r mod last of the last."""
+    idx = np.arange(blocks)[:, None] * H + (r & (H - 1))
+    idx[-1] = (blocks - 1) * H + (r & (last - 1))
+    return idx
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -105,24 +117,20 @@ def _scratch(size: int) -> np.ndarray:
 
 
 def _halves(pool, work, items: range) -> None:
-    """``work`` on the first half of ``items`` in the worker of the
-    one-thread ``pool`` and on the rest in the caller, or on all of them in
-    the caller when ``pool`` is None. An error on either side is raised."""
-    if pool is None:
-        work(items)
-        return
+    """``work`` on the first half of ``items`` in the worker of the one-thread
+    ``pool`` and on the rest in the caller; an error on either side is raised."""
     first = pool.submit(work, items[: len(items) // 2])
     work(items[len(items) // 2 :])
     first.result()
 
 
-def _butterflies(a: np.ndarray, t: np.ndarray) -> None:
-    """Every stage of the transform on the rows of a C-contiguous ``a``, in
-    place: stage h replaces each pair (x, y) of rows h apart within blocks
-    of 2h rows by (x + y, x - y). ``t`` is scratch, at least one element; a
-    stage whose x half outgrows it runs in pieces of at most its size."""
+def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
+    """The stages from h on of the transform on the rows of a C-contiguous
+    ``a``, in place: stage h replaces each pair (x, y) of rows h apart within
+    blocks of 2h rows by (x + y, x - y). ``t`` is scratch, at least one
+    element; a stage whose x half outgrows it runs in pieces of at most its
+    size."""
     n, w = a.shape
-    h = 1
     while h < n and w:
         pairs = a.reshape(n // (2 * h), 2, h * w)
         groups = max(1, t.size // (h * w))
@@ -138,102 +146,28 @@ def _butterflies(a: np.ndarray, t: np.ndarray) -> None:
         h *= 2
 
 
-def _fwht_inplace(
-    a: np.ndarray, rows: np.ndarray | None = None, pool=None
-) -> np.ndarray | None:
-    """Unnormalized Walsh-Hadamard transform of the rows of a C-contiguous
-    2-D ``a``, in place and in cache-sized blocks. Given ``rows``, returns
-    those rows of the transform as a new array instead and leaves ``a`` as
-    scratch.
-
-    With B rows per block, H_n = (H_{n/B} (x) I_B)(I_{n/B} (x) H_B). Phase 1
-    runs the stages h < B on each block of B contiguous rows. Phase 2 runs
-    the stages h >= B, which mix only rows whose index has the same inner
-    part r mod B: for a chunk of inner indices it copies those rows into a
-    contiguous buffer, transforms it (recursively, so it too stays in
-    blocks) and writes it back; given ``rows``, it runs only the inner
-    indices of ``rows`` and writes row r // B of each straight into the
-    output. The butterflies and their order are those of ``_butterflies`` on
-    the whole array, so the result is bit-identical to it.
-
-    With a one-thread ``pool``, the caller and its worker each take half of
-    phase 1's blocks and of phase 2's chunks. Each thread's scratch stays
-    within half a block, so the two together hold at most one block: a
-    quarter block in phase 1, and in phase 2 a buffer of at most a third of
-    a block and half as much again for its butterflies. Only when the rows
-    of one inner index outgrow a third of a block does a thread hold those
-    rows and half as much again. Recursive calls run on the calling thread
-    only: a worker waiting on its own pool would wait forever.
-    """
+def _blocked(a: np.ndarray, H: int, pool) -> None:
+    """Every stage below H of the transform on each block of H rows of the
+    C-contiguous 2-D ``a``, in place (a shorter last block must hold a power
+    of two rows): the stages below B, a cache block's rows, on each block of
+    B rows, then B .. H/2 on each block of H rows. These are the butterflies
+    of ``_butterflies`` on the whole array, so the result is bit-identical to
+    it. The caller and the worker of the one-thread ``pool`` take half of the
+    blocks each, with at most a quarter block of scratch apiece."""
     n, w = a.shape
-    B = _phase_rows(n, w)
-    if B == n:
-        _butterflies(a, _scratch(a.size))
-        return None if rows is None else a[rows]
+    B = min(H, _block_rows(8 * w, _BLOCK_BYTES))
 
-    def phase1(starts):
-        t = _scratch(B * w)
-        for start in starts:
-            _butterflies(a[start : start + B], t)
+    def stages(size, h):
+        def work(starts):
+            t = _scratch(size * w)
+            for start in starts:
+                _butterflies(a[start : start + size], t, h)
 
-    _halves(pool, phase1, range(0, n, B))
-    outer = n // B
-    blocks = a.reshape(outer, B, w)  # blocks[i, k] is row i B + k
-    if rows is None:
-        inner = np.arange(B)
-    else:
-        inner = np.unique(rows & (B - 1))
-        pos = np.searchsorted(inner, rows & (B - 1))
-        out = np.empty((len(rows), w))
-    # 12 bytes per buffered element: 8 for it and 4 for butterfly scratch
-    per = max(1, min(_BLOCK_BYTES // 2 // (12 * w * outer), -(-len(inner) // 2)))
+        _halves(pool, work, range(0, n, size))
 
-    def phase2(starts):
-        buf = np.empty(outer * per * w)
-        for lo in starts:
-            idx = inner[lo : lo + per]
-            part = buf[: outer * len(idx) * w].reshape(outer, len(idx), w)
-            np.take(blocks, idx, axis=1, out=part, mode="clip")
-            _fwht_inplace(part.reshape(outer, -1))
-            if rows is None:
-                blocks[:, lo : lo + per] = part
-            else:
-                kept = np.flatnonzero((pos >= lo) & (pos < lo + per))
-                out[kept] = part[rows[kept] // B, pos[kept] - lo]
-
-    _halves(pool, phase2, range(0, len(inner), per))
-    return None if rows is None else out
-
-
-def _padded_rows(a: np.ndarray, rows: np.ndarray, pool=None) -> np.ndarray:
-    """Rows ``rows`` (mod n) of H_n [a; 0], the transform of the C-contiguous
-    2-D ``a`` zero-padded to n = next_pow_two(len(a)), without forming the
-    padding. Overwrites ``a``; ``pool`` is passed on to ``_fwht_inplace``.
-
-    With h = n/2 and a = [a1; a2], the stages below h transform a1 and
-    [a2; 0] apart, and row j of H_h [a2; 0] is row j mod n2 of H_n2 [a2; 0],
-    n2 = next_pow_two(len(a2)), since its stages from n2 on pair it only with
-    zeros. That tail is found by the same rule, and the top stage gives row r
-    as Y1[j] + Y2[j] for r < h and Y1[j] - Y2[j] otherwise, j = r mod h. Each
-    kept row sees the butterflies of the padded transform, so the result is
-    bit-identical to it.
-    """
-    n = next_pow_two(len(a))
-    rows = rows & (n - 1)
-    if n == len(a):
-        return _fwht_inplace(a, rows, pool)
-    h = n // 2
-    j = rows & (h - 1)
-    out = _fwht_inplace(a[:h], j, pool)
-    tail = _padded_rows(a[h:], j, pool)
-    # the padded stages n2 .. h/2 add a +0 partner to row j wherever its bit
-    # is clear, which turns a -0.0 into +0.0; repeat that on the kept rows
-    skipped = h - next_pow_two(len(a) - h)
-    np.add(tail, 0.0, out=tail, where=((j & skipped) != skipped)[:, None])
-    # Y1 - Y2 is Y1 + (-Y2) exactly
-    np.negative(tail, out=tail, where=(rows >= h)[:, None])
-    out += tail
-    return out
+    stages(B, 1)
+    if B < H:
+        stages(H, B)
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -244,10 +178,10 @@ def fwht(x: np.ndarray) -> np.ndarray:
     """
     out = np.array(x, dtype=float, order="C")
     n = out.shape[0]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise DimensionError(f"length {n} is not a power of two")
     with ThreadPoolExecutor(1) as pool:
-        _fwht_inplace(out.reshape(n, math.prod(out.shape[1:])), pool=pool)
+        _blocked(out.reshape(n, math.prod(out.shape[1:])), n, pool)
     return out
 
 
@@ -296,47 +230,97 @@ class SketchOperator:
 class RosSketch(SketchOperator):
     """Sign flips + normalized Walsh-Hadamard transform + row subsampling.
 
-    Inputs are zero-padded to the next power of two; the combined scaling
+    Inputs are zero-padded to the next power of two n; the combined scaling
     1/sqrt(m) makes E[Phi^T Phi] = I on the unpadded coordinates, and the
-    full-sampling case m = M = M_pad gives an exactly orthogonal operator.
-    Phi is never formed, and ``apply`` never forms the padding: it needs one
-    M-row copy of its input, a few m-row arrays and scratch of one cache
-    block, which it shares out between the calling thread and the one worker
-    that each apply starts and joins.
+    full-sampling case m = M = n gives an exactly orthogonal operator.
+    Phi is never formed, nor is the padding beyond the last block.
+
+    With blocks of H rows (``_ros_blocks``), H_n = (H_{n/H} (x) I_H)
+    (I_{n/H} (x) H_H). ``apply`` flips the signs into one copy of the input
+    whose last block alone is zero-padded, to a power of two, and transforms
+    each block. Kept row r = J H + k is then row J of H_{n/H} over the rows
+    k of the blocks: a tree that adds or subtracts pairs of them, one level
+    per bit of J, where a node with no partner meets a zero block. These are
+    the butterflies of the plain stage-by-stage transform on the padded
+    length that reach row r, so the result is bit-identical to it.
+    ``apply_transpose`` adds each input row, signed, to its rows of the
+    blocks, then transforms the blocks.
+
+    Either needs one M-row array, under half a block of zero rows, scratch
+    within the current block budget and its output. The calling thread and
+    the one worker that each call starts and joins share the work.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
         super().__init__(spec, matrix=None)
         self.signs = signs  # +/-1 per input coordinate, length M
-        self.rows = rows  # sampled transform rows, length m, drawn from M_pad
-        self.m_pad = next_pow_two(spec.M)
+        self.rows = rows  # sampled transform rows, length m, drawn from n
 
     def apply(self, X):
         X = self._check_rows(X, self.spec.M, "input")
-        flat = X.ndim == 1
-        Xm = X.reshape(self.spec.M, -1)
-        signed = np.empty(Xm.shape)
+        Xm = X[:, None] if X.ndim == 1 else X
+        (M, w), m = Xm.shape, self.spec.m
+        H, blocks, last = _ros_blocks(m, M, w)
+        signed = np.empty(((blocks - 1) * H + last, w))
+        signed[M:] = 0.0
+        # a chunk of `per` kept rows gathers blocks x w values per row
+        per = max(1, min(_BLOCK_BYTES // 4 // max(1, 8 * blocks * w), -(-m // 2)))
 
         def flip(part):
             part = slice(part.start, part.stop)
             np.multiply(self.signs[part, None], Xm[part], out=signed[part])
 
+        def tree(starts):
+            nodes = np.empty(blocks * per * w)
+            for lo in starts:
+                r = self.rows[lo : lo + per]
+                idx = _leaf_rows(r, H, blocks, last)
+                leaves = nodes[: idx.size * w].reshape(blocks, len(r), w)
+                np.take(signed, idx, axis=0, out=leaves, mode="clip")
+                # add and subtract masked: numpy 2.4 in-place negative misreads strided views
+                bit, count, step = last, blocks, 1  # a level's nodes: leaves[::step]
+                while bit < H or count > 1:
+                    clear = ((r & bit) == 0)[:, None]
+                    if count % 2 or bit < H:
+                        lone = leaves[(count - 1) * step]
+                        np.add(lone, 0.0, out=lone, where=clear)
+                    if bit >= H:
+                        half = count // 2
+                        x = leaves[0 : 2 * half * step : 2 * step]
+                        y = leaves[step : 2 * half * step : 2 * step]
+                        np.add(x, y, out=x, where=clear)
+                        np.subtract(x, y, out=x, where=~clear)
+                        count, step = count - half, 2 * step
+                    bit *= 2
+                np.divide(leaves[0], math.sqrt(m), out=out[lo : lo + per])
+
         with ThreadPoolExecutor(1) as pool:
-            _halves(pool, flip, range(self.spec.M))
-            out = _padded_rows(signed, self.rows, pool)
-        out /= math.sqrt(self.spec.m)
-        return out.reshape(-1) if flat else out
+            _halves(pool, flip, range(M))
+            _blocked(signed, H, pool)
+            out = np.empty((m, w))
+            _halves(pool, tree, range(0, m, per))
+        return out.reshape(-1) if X.ndim == 1 else out
 
     def apply_transpose(self, Y):
         Y = self._check_rows(Y, self.spec.m, "input")
-        flat = Y.ndim == 1
-        Ym = Y.reshape(self.spec.m, -1)
-        scattered = np.zeros((self.m_pad, Ym.shape[1]))
-        scattered[self.rows] = Ym
+        Ym = Y[:, None] if Y.ndim == 1 else Y
+        m, M = self.spec.m, self.spec.M
+        H, blocks, last = _ros_blocks(m, M, Ym.shape[1])
+        # H_n[j H + k, J H + q] = (-1)^popcount(j & J) H_H[k, q], and rows
+        # k < last of the last block see only q mod last; so kept row
+        # r = J H + q adds, signed, into its leaf row of each block
+        parity = np.arange(blocks) & (self.rows[:, None] // H)
+        for shift in (32, 16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        leaves = _leaf_rows(self.rows, H, blocks, last).T.ravel()
+        scatter = ((1.0 - 2.0 * (parity & 1)).ravel(), leaves, blocks * np.arange(m + 1))
+        out = sparse.csc_matrix(scatter, ((blocks - 1) * H + last, m)) @ Ym
         with ThreadPoolExecutor(1) as pool:
-            _fwht_inplace(scattered, pool=pool)
-        out = self.signs[:, None] * scattered[: self.spec.M] / math.sqrt(self.spec.m)
-        return out.reshape(-1) if flat else out
+            _blocked(out, H, pool)
+        out = out[:M]
+        out *= self.signs[:, None]
+        out /= math.sqrt(m)
+        return out.reshape(-1) if Y.ndim == 1 else out
 
 
 class GaussianSketch(SketchOperator):
@@ -420,20 +404,12 @@ def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> f
     if spec.kind == "gaussian":
         return float(spec.m) * spec.M * N
     if spec.kind == "ros":
-        # what RosSketch.apply runs on each power-of-two piece of n rows:
-        # phase 1's log2 B stages on every row, phase 2's log2(n/B) stages on
-        # the n/B rows of each of at most min(m, B) inner indices, and one
-        # add per kept row to combine the piece with its tail
-        def piece(n):
-            B = _phase_rows(n, N)
-            return n * math.log2(B) + min(spec.m, B) * (n // B) * math.log2(n // B)
-
-        flops, rows = 0.0, spec.M
-        while rows & (rows - 1):
-            h = next_pow_two(rows) // 2
-            flops += piece(h) + spec.m
-            rows -= h
-        return (flops + piece(rows)) * N
+        # what RosSketch.apply runs: every stage below H on each block of H
+        # rows, the last block's on its `last` rows, and the blocks - 1
+        # butterflies of each kept row's tree
+        H, blocks, last = _ros_blocks(spec.m, spec.M, N)
+        tree = spec.m * (blocks - 1)
+        return ((blocks - 1) * H * math.log2(H) + last * math.log2(last) + tree) * N
     if nnz is None:
         raise ValueError("count sketch estimate needs the nonzero count")
     return float(nnz)

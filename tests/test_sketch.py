@@ -167,6 +167,15 @@ class TestApply:
             op.apply(np.ones((11, 2)))
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("M", [8, 2**12 + 1, 2**20 + 3])
+    def test_zero_columns(self, kind, M):
+        op = make_sketch(SketchSpec(kind=kind, m=3, M=M, seed=0))
+        assert op.apply(np.ones((M, 0))).shape == (3, 0)
+        assert op.apply_transpose(np.ones((3, 0))).shape == (M, 0)
+        with pytest.raises(DimensionError):
+            fwht(np.ones(0))
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_deterministic_given_spec(self, kind):
         spec = SketchSpec(kind=kind, m=7, M=33, seed=123)
         X = np.random.default_rng(4).standard_normal((33, 5))
@@ -232,9 +241,9 @@ class TestApply:
         assert peak < 1.5 * M * N * 8
 
     def test_ros_apply_splits_and_prunes_within_the_bound(self):
-        # 8 blocks of 2,048 rows split between two threads, and 279 of the
-        # 2,048 inner indices kept, in 4 phase-2 chunks: together the
-        # threads' scratch stays within one block
+        # 8 blocks of 2,048 rows split between two threads, and the 300
+        # kept rows' trees over them in 5 chunks: together the threads'
+        # scratch stays within one block
         M, N = 2**14, 64
         op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=0))
         X = np.random.default_rng(0).standard_normal((M, N))
@@ -246,14 +255,29 @@ class TestApply:
             tracemalloc.stop()
         assert peak < 1.5 * M * N * 8
 
+    def test_ros_apply_transpose_allocates_no_padded_buffer(self):
+        # the kept rows are added into the 3 real blocks (the last of 1 row),
+        # not into a zero-filled 2^13-row buffer
+        M, N, m = 2**12 + 1, 64, 300
+        op = make_sketch(SketchSpec(kind="ros", m=m, M=M, seed=0))
+        Y = np.random.default_rng(0).standard_normal((m, N))
+        tracemalloc.start()
+        try:
+            op.apply_transpose(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M * N * 8
+
     # With the block budget patched to 16 rows of 64 columns, 64-column
-    # inputs keep every inner index (m >= B = 16) and phase 2 recurses into
-    # blocks of its own; vectors get B = 1,024. With a budget of 1,024 rows,
-    # 64-column inputs get B = 1,024 and vectors one block. At B = 1,024 the
-    # 200 kept rows share inner indices (186 or 188 distinct), which phase 2
-    # takes in 3 chunks, an odd number to split between the two threads.
+    # inputs get cache blocks of B = 16 rows inside blocks of H = 256 or 512
+    # rows, so the stages above B run, and each kept row's tree runs alone;
+    # at 2^12 + 1 and 2^12 + 2^11 + 3 rows the last block holds 1 or 4 rows,
+    # so lone tree nodes meet zero blocks and take their sign of zero.
+    # Vectors get B = H = 1,024. With a budget of 1,024 rows, 64-column
+    # inputs get B = H = 1,024 and vectors one block.
     @pytest.mark.parametrize("budget_rows", [16, 1024])
-    @pytest.mark.parametrize("M", [2**12, 2**12 + 1])
+    @pytest.mark.parametrize("M", [2**12, 2**12 + 1, 2**12 + 2**11 + 3])
     @pytest.mark.parametrize("layout", ["vector", "matrix", "fortran"])
     def test_ros_apply_matches_butterflies_across_blocks(
         self, monkeypatch, budget_rows, M, layout
@@ -289,10 +313,10 @@ class TestApply:
         caller = threading.current_thread()
         butterflies = sketch._butterflies
 
-        def fail_in_worker(a, t):
+        def fail_in_worker(a, t, h=1):
             if threading.current_thread() is not caller:
                 raise RuntimeError("stop in the worker's share")
-            butterflies(a, t)
+            butterflies(a, t, h)
 
         monkeypatch.setattr(sketch, "_butterflies", fail_in_worker)
         with pytest.raises(RuntimeError, match="worker's share"):
@@ -457,17 +481,19 @@ class TestFlopsEstimate:
         assert sketch_flops_estimate(spec, N=5) == 5000
 
     def test_ros_padded_formula(self):
-        # 100 rows: transforms of 64, 32 and 4 rows, n log2 n each, and two
-        # combines of the 10 kept rows; not 128 log2 128 on the padding
+        # 100 rows of 2 columns fit one cache block, so H = 128: one block,
+        # zero-padded from 100 to 128 rows, 7 stages on each row, and no
+        # tree to combine blocks; 1,792 flops
         spec = SketchSpec(kind="ros", m=10, M=100, seed=0)
-        assert sketch_flops_estimate(spec, N=2) == (64 * 6 + 32 * 5 + 4 * 2 + 2 * 10) * 2
+        assert sketch_flops_estimate(spec, N=2) == (128 * 7) * 2
 
     def test_ros_counts_only_kept_inner_indices(self):
-        # 2^17 rows of 50 columns: blocks of B = 2,048 rows, 11 stages each,
-        # then the 6 stages of phase 2 on 2^17 / B = 64 rows for each of the
-        # at most 200 inner indices that the kept rows need
+        # 2^17 rows of 50 columns: cache blocks of 2,048 rows, and H = 2,048
+        # since 200 kept rows x 64 blocks is below 2^17 rows; 11 stages on
+        # every row, then 63 butterflies in each kept row's tree over the 64
+        # blocks; 72,719,600 flops
         spec = SketchSpec(kind="ros", m=200, M=2**17, seed=0)
-        assert sketch_flops_estimate(spec, N=50) == (2**17 * 11 + 200 * 64 * 6) * 50
+        assert sketch_flops_estimate(spec, N=50) == (2**17 * 11 + 200 * 63) * 50
 
     def test_count_uses_nnz(self):
         spec = SketchSpec(kind="count", m=10, M=100, seed=0)
