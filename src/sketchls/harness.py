@@ -13,7 +13,8 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky
@@ -264,6 +265,22 @@ def split_rows(problem: LSProblem, n_train: int, n_test: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
+def _from_dict(cls, data, what: str):
+    """``cls(**data)``, with a ValueError naming a key of ``data`` that is
+    not a field of the dataclass ``cls``, or a field it needs and lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in data if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; expected one of {names}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what} lacks {missing[0]!r}")
+    return cls(**data)
+
+
 @dataclass
 class ProblemSource:
     kind: str = "synthetic"  # "synthetic" | "csv"
@@ -276,12 +293,18 @@ class ProblemSource:
     b_policy: str = "last"
     b_path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "csv"):
+            raise ValueError(f"unknown source kind {self.kind!r}; expected 'synthetic' or 'csv'")
+        if self.kind == "csv" and self.path is None:
+            raise ValueError("a csv source needs a path")
+
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSource":
-        return cls(**data)
+        return _from_dict(cls, data, "source")
 
 
 @dataclass
@@ -298,6 +321,10 @@ class ExperimentConfig:
     timing_repeats: int = 3  # best-of-k timings after one discarded warm-up
 
     def __post_init__(self):
+        for name in ("sketch_kinds", "m_values", "methods"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list, not {value!r}")
         self.sketch_kinds = tuple(self.sketch_kinds)
         self.m_values = tuple(int(m) for m in self.m_values)
         self.methods = tuple(self.methods)
@@ -333,9 +360,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["source"] = ProblemSource.from_dict(data.get("source", {}))
-        return cls(**data)
+        if isinstance(data, dict) and "source" in data:
+            data = {**data, "source": ProblemSource.from_dict(data["source"])}
+        return _from_dict(cls, data, "config")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -360,7 +387,7 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
-        return cls(**json.loads(line))
+        return _from_dict(cls, json.loads(line), "record")
 
     @property
     def failed(self) -> bool:
@@ -368,8 +395,15 @@ class TrialRecord:
 
 
 def load_records(path):
+    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        return [TrialRecord.from_json(line) for line in handle if line.strip()]
+        for lineno, line in enumerate(handle, 1):
+            if line.strip():
+                try:
+                    records.append(TrialRecord.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +422,7 @@ def _build_problem(config: ExperimentConfig) -> LSProblem:
             seed=config.seed,
             residual_fraction=src.residual_fraction,
         )
-    if src.kind == "csv":
-        return load_csv(src.path, b_policy=src.b_policy, b_path=src.b_path)
-    raise ValueError(f"unknown problem source {src.kind!r}")
+    return load_csv(src.path, b_policy=src.b_policy, b_path=src.b_path)
 
 
 def _cell_seed(root_seed, kind, m, trial) -> int:
@@ -502,6 +534,10 @@ def emit_profile(records, group_keys=("method", "sketch", "m"), out_path=None):
     Returns ``[(group, fraction, value)]`` sorted by group then fraction and
     optionally writes them as CSV with a ``group,fraction,value`` header.
     """
+    names = [f.name for f in fields(TrialRecord)]
+    for key in group_keys:
+        if key not in names:
+            raise ValueError(f"unknown group key {key!r}; expected one of {names}")
     groups = {}
     for rec in records:
         if rec.failed:

@@ -102,14 +102,6 @@ def _ros_blocks(m: int, M: int, w: int) -> tuple[int, int, int]:
     return H, blocks, next_pow_two(M - (blocks - 1) * H)
 
 
-def _leaf_rows(r: np.ndarray, H: int, blocks: int, last: int) -> np.ndarray:
-    """(blocks, len(r)) rows of the blocks that transform rows ``r`` read:
-    row r mod H of each block of H rows, and r mod last of the last."""
-    idx = np.arange(blocks)[:, None] * H + (r & (H - 1))
-    idx[-1] = (blocks - 1) * H + (r & (last - 1))
-    return idx
-
-
 def _scratch(size: int) -> np.ndarray:
     """Scratch for ``_butterflies`` on ``size`` elements: half of them, so
     that each stage runs in one piece, but at most a quarter block."""
@@ -186,7 +178,8 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 
 class SketchOperator:
-    """A realized compression matrix Phi, applied as a linear map.
+    """A realized compression matrix Phi, applied as a linear map, forward
+    only: the estimators need Phi A and Phi b, never Phi^T.
 
     ``gaussian`` and ``ros`` keep ``matrix = None`` and apply Phi without
     holding it, so an apply's memory follows from (m, M, N). ``count`` and
@@ -202,25 +195,21 @@ class SketchOperator:
         self.spec = spec  # None when no spec realizes this operator
         self.matrix = matrix
 
-    def _check_rows(self, X, rows, name):
+    def _check_rows(self, X, rows):
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2):
-            raise DimensionError(f"{name} must be a vector or matrix")
+            raise DimensionError("input must be a vector or matrix")
         if X.shape[0] != rows:
-            raise DimensionError(f"{name} has {X.shape[0]} rows, operator expects {rows}")
+            raise DimensionError(f"input has {X.shape[0]} rows, operator expects {rows}")
         return X
 
     def apply(self, X):
-        X = self._check_rows(X, self.matrix.shape[1], "input")
+        X = self._check_rows(X, self.matrix.shape[1])
         return self.matrix @ X
 
     def apply_each(self, *Xs) -> tuple:
         """Each ``self.apply(X)``, bit for bit; ``gaussian`` draws Phi once for all."""
         return tuple(self.apply(X) for X in Xs)
-
-    def apply_transpose(self, Y):
-        Y = self._check_rows(Y, self.matrix.shape[0], "input")
-        return self.matrix.T @ Y
 
     def materialize(self) -> np.ndarray:
         """Dense m x M matrix of the operator (testing / small sizes only)."""
@@ -243,10 +232,8 @@ class RosSketch(SketchOperator):
     per bit of J, where a node with no partner meets a zero block. These are
     the butterflies of the plain stage-by-stage transform on the padded
     length that reach row r, so the result is bit-identical to it.
-    ``apply_transpose`` adds each input row, signed, to its rows of the
-    blocks, then transforms the blocks.
 
-    Either needs one M-row array, under half a block of zero rows, scratch
+    It needs one M-row array, under half a block of zero rows, scratch
     within the current block budget and its output. The calling thread and
     the one worker that each call starts and joins share the work.
     """
@@ -257,7 +244,7 @@ class RosSketch(SketchOperator):
         self.rows = rows  # sampled transform rows, length m, drawn from n
 
     def apply(self, X):
-        X = self._check_rows(X, self.spec.M, "input")
+        X = self._check_rows(X, self.spec.M)
         Xm = X[:, None] if X.ndim == 1 else X
         (M, w), m = Xm.shape, self.spec.m
         H, blocks, last = _ros_blocks(m, M, w)
@@ -274,7 +261,9 @@ class RosSketch(SketchOperator):
             nodes = np.empty(blocks * per * w)
             for lo in starts:
                 r = self.rows[lo : lo + per]
-                idx = _leaf_rows(r, H, blocks, last)
+                # row r mod H of each block of H rows, and r mod last of the last
+                idx = np.arange(blocks)[:, None] * H + (r & (H - 1))
+                idx[-1] = (blocks - 1) * H + (r & (last - 1))
                 leaves = nodes[: idx.size * w].reshape(blocks, len(r), w)
                 np.take(signed, idx, axis=0, out=leaves, mode="clip")
                 # add and subtract masked: numpy 2.4 in-place negative misreads strided views
@@ -300,27 +289,6 @@ class RosSketch(SketchOperator):
             out = np.empty((m, w))
             _halves(pool, tree, range(0, m, per))
         return out.reshape(-1) if X.ndim == 1 else out
-
-    def apply_transpose(self, Y):
-        Y = self._check_rows(Y, self.spec.m, "input")
-        Ym = Y[:, None] if Y.ndim == 1 else Y
-        m, M = self.spec.m, self.spec.M
-        H, blocks, last = _ros_blocks(m, M, Ym.shape[1])
-        # H_n[j H + k, J H + q] = (-1)^popcount(j & J) H_H[k, q], and rows
-        # k < last of the last block see only q mod last; so kept row
-        # r = J H + q adds, signed, into its leaf row of each block
-        parity = np.arange(blocks) & (self.rows[:, None] // H)
-        for shift in (32, 16, 8, 4, 2, 1):
-            parity ^= parity >> shift
-        leaves = _leaf_rows(self.rows, H, blocks, last).T.ravel()
-        scatter = ((1.0 - 2.0 * (parity & 1)).ravel(), leaves, blocks * np.arange(m + 1))
-        out = sparse.csc_matrix(scatter, ((blocks - 1) * H + last, m)) @ Ym
-        with ThreadPoolExecutor(1) as pool:
-            _blocked(out, H, pool)
-        out = out[:M]
-        out *= self.signs[:, None]
-        out /= math.sqrt(m)
-        return out.reshape(-1) if Y.ndim == 1 else out
 
 
 class GaussianSketch(SketchOperator):
@@ -357,7 +325,7 @@ class GaussianSketch(SketchOperator):
         return self.apply_each(X)[0]
 
     def apply_each(self, *Xs) -> tuple:
-        Xs = [self._check_rows(X, self.spec.M, "input") for X in Xs]
+        Xs = [self._check_rows(X, self.spec.M) for X in Xs]
         outs = tuple(np.empty((self.spec.m,) + X.shape[1:]) for X in Xs)
 
         def use(rows, block):
@@ -366,12 +334,6 @@ class GaussianSketch(SketchOperator):
 
         self._each_block(use)
         return outs
-
-    def apply_transpose(self, Y):
-        Y = self._check_rows(Y, self.spec.m, "input")
-        out = np.zeros((self.spec.M,) + Y.shape[1:])
-        self._each_block(lambda rows, block: np.add(out, block.T @ Y[rows], out=out))
-        return out
 
 
 def _count_matrix(m: int, rows: np.ndarray, signs: np.ndarray) -> sparse.csc_matrix:

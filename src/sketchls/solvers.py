@@ -291,10 +291,11 @@ def cls_error_decomposition(problem: LSProblem, op: SketchOperator):
 
     Returns ``(x_cls, x_ls + (P^T P)^{-1} A^T Phi^T Phi z)`` where z is the
     uncompressed residual; the two agree up to floating-point error.
+    A^T Phi^T = (Phi A)^T = P^T, so A^T Phi^T Phi z is formed as P^T (Phi z).
     """
     sp = SketchedProblem.from_problem(problem, op)
     x_ls = solve_ols(problem)
     z = problem.b - problem.A @ x_ls
     lhs = solve_cls(sp)
-    correction = GramSolver(sp.P).solve(problem.A.T @ op.apply_transpose(op.apply(z)))
+    correction = GramSolver(sp.P).solve(sp.P.T @ op.apply(z))
     return lhs, x_ls + correction

@@ -122,3 +122,29 @@ class TestBenchProfileTiming:
         code, _, stderr = run_cli(["profile", "--records", str(tmp_path / "nope.jsonl"),
                                    "--out", str(tmp_path / "p.csv")], capsys)
         assert code == 1 and "error:" in stderr
+
+
+RECORD = {"config_hash": "h", "method": "pcls", "sketch": "ros", "m": 10, "trial": 0,
+          "seed": 0, "relative_accuracy": 0.0, "eps_optimality": 0.0, "timings": {}}
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("bench", {"methodz": ["pcls"]}, "methodz"),
+        ("bench", {"source": {"kind": "synthetic", "rowz": 60}}, "rowz"),
+        ("bench", {"m_values": 100}, "m_values"),
+        ("bench", {"source": {"kind": "csv"}}, "path"),
+        ("profile --group-by methd", RECORD, "methd"),
+        ("profile", {"method": "pcls"}, "line 1"),
+    ],
+)
+def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command, content, named):
+    # each input is rejected where it is parsed, with the bad key or line named
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content) + "\n")
+    name, *flags = command.split()
+    source = "--config" if name == "bench" else "--records"
+    code, _, stderr = run_cli([name, source, str(path), "--out", str(tmp_path / "out"), *flags],
+                              capsys)
+    assert code == 1 and "error:" in stderr and named in stderr

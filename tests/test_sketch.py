@@ -124,8 +124,6 @@ class TestApply:
             expected = np.zeros((m,) + X.shape[1:])
             np.add.at(expected, rows, signs.reshape((M,) + (1,) * (X.ndim - 1)) * X)
             assert op.apply(X).tobytes() == expected.tobytes()
-        Y = rng.standard_normal((m, 4))
-        assert op.apply_transpose(Y).tobytes() == (signs[:, None] * Y[rows]).tobytes()
 
     def test_identity_helper(self):
         op = identity_sketch(5)
@@ -171,7 +169,6 @@ class TestApply:
     def test_zero_columns(self, kind, M):
         op = make_sketch(SketchSpec(kind=kind, m=3, M=M, seed=0))
         assert op.apply(np.ones((M, 0))).shape == (3, 0)
-        assert op.apply_transpose(np.ones((3, 0))).shape == (M, 0)
         with pytest.raises(DimensionError):
             fwht(np.ones(0))
 
@@ -191,13 +188,6 @@ class TestApply:
         whole = op.apply(X)
         blocked = np.hstack([op.apply(X[:, :3]), op.apply(X[:, 3:])])
         assert_allclose(whole, blocked, rtol=1e-13, atol=1e-13)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_transpose_matches_materialized(self, kind):
-        op = make_sketch(SketchSpec(kind=kind, m=5, M=12, seed=9))
-        dense = op.materialize()
-        Y = np.random.default_rng(7).standard_normal((5, 3))
-        assert_allclose(op.apply_transpose(Y), dense.T @ Y, atol=1e-12)
 
     @pytest.mark.parametrize(
         "M",
@@ -255,20 +245,6 @@ class TestApply:
             tracemalloc.stop()
         assert peak < 1.5 * M * N * 8
 
-    def test_ros_apply_transpose_allocates_no_padded_buffer(self):
-        # the kept rows are added into the 3 real blocks (the last of 1 row),
-        # not into a zero-filled 2^13-row buffer
-        M, N, m = 2**12 + 1, 64, 300
-        op = make_sketch(SketchSpec(kind="ros", m=m, M=M, seed=0))
-        Y = np.random.default_rng(0).standard_normal((m, N))
-        tracemalloc.start()
-        try:
-            op.apply_transpose(Y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * M * N * 8
-
     # With the block budget patched to 16 rows of 64 columns, 64-column
     # inputs get cache blocks of B = 16 rows inside blocks of H = 256 or 512
     # rows, so the stages above B run, and each kept row's tree runs alone;
@@ -303,8 +279,6 @@ class TestApply:
         X = np.ones((M, 64))
         before = threading.active_count()
         op.apply(X)
-        assert threading.active_count() == before
-        op.apply_transpose(np.ones((300, 64)))
         assert threading.active_count() == before
         with pytest.raises(DimensionError):
             op.apply(np.ones((M + 1, 2)))
@@ -351,8 +325,6 @@ class TestApply:
         assert op.apply(X).tobytes() == (phi @ X).tobytes()
         P, q = op.apply_each(X, b)
         assert P.tobytes() == (phi @ X).tobytes() and q.tobytes() == (phi @ b).tobytes()
-        Y = rng.standard_normal((m, 3))
-        assert_allclose(op.apply_transpose(Y), phi.T @ Y, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS + (None,))
     def test_apply_each_is_apply_on_each(self, kind):
@@ -397,8 +369,6 @@ class TestApply:
         before = threading.active_count()
         op.apply(np.ones((500, 2)))
         assert threading.active_count() == before
-        op.apply_transpose(np.ones(30))
-        assert threading.active_count() == before
         with pytest.raises(DimensionError):
             op.apply(np.ones((501, 2)))
         assert threading.active_count() == before
@@ -414,7 +384,6 @@ class TestApply:
         op = make_sketch(SketchSpec(kind="ros", m=3, M=10, seed=0))
         v = np.ones(10)
         assert op.apply(v).shape == (3,)
-        assert op.apply_transpose(np.ones(3)).shape == (10,)
 
 
 class TestDistributionalInvariants:
@@ -440,19 +409,6 @@ class TestDistributionalInvariants:
             dense = op.materialize()
             assert np.abs(dense.T @ dense - np.eye(M)).max() <= 1e-10
 
-    @pytest.mark.parametrize("M", [2**12, 2**12 + 1, 2**12 + 2**11 + 3])
-    def test_ros_apply_and_transpose_are_adjoint(self, M):
-        # 2^12 rows fill the padded length exactly, 2^12 + 1 pad to 2^13,
-        # and 2^12 + 2^11 + 3 leave a tail with a tail of its own;
-        # with 64 columns both phases of the blocked transform run
-        rng = np.random.default_rng(M)
-        m = 300
-        op = make_sketch(SketchSpec(kind="ros", m=m, M=M, seed=2))
-        X, Y = rng.standard_normal((M, 64)), rng.standard_normal((m, 64))
-        lhs = np.sum(op.apply(X) * Y)
-        rhs = np.sum(X * op.apply_transpose(Y))
-        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(M) * np.linalg.norm(X) * np.linalg.norm(Y)
-
     def test_count_sketch_with_empty_buckets(self):
         M = m = 40
         op = make_sketch(SketchSpec(kind="count", m=m, M=M, seed=0))
@@ -462,7 +418,6 @@ class TestDistributionalInvariants:
         assert np.array_equal(np.diag(dense.T @ dense), np.ones(M))
         X = np.random.default_rng(0).standard_normal((M, 3))
         assert op.apply(X).shape == (m, 3)
-        assert op.apply_transpose(np.ones(m)).shape == (M,)
         assert_allclose(op.apply(X), dense @ X, atol=1e-12)
 
     def test_ros_padding_keeps_columns_unit_norm_in_expectation(self):

@@ -71,13 +71,14 @@ class TestClsPcls:
         assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(sp.P.T @ sp.q)
 
     def test_cls_additive_error_identity(self):
-        # x_cls = x_ls + (P^T P)^{-1} A^T Phi^T Phi z, z the uncompressed residual
+        # x_cls = x_ls + (P^T P)^{-1} A^T Phi^T Phi z, z the uncompressed
+        # residual, with A^T Phi^T = P^T
         rng = np.random.default_rng(3)
         problem = random_problem(rng, 200, 5)
         sp, op = sketched(problem, m=50, seed=4)
         x_ls = solve_ols(problem)
         z = problem.b - problem.A @ x_ls
-        correction = GramSolver(sp.P).solve(problem.A.T @ op.apply_transpose(op.apply(z)))
+        correction = GramSolver(sp.P).solve(sp.P.T @ op.apply(z))
         assert_allclose(solve_cls(sp), x_ls + correction, rtol=1e-8)
 
     def test_pcls_multiplicative_error_identity(self):
