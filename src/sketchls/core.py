@@ -23,8 +23,10 @@ from .exceptions import (
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
 
-# bytes of the rows of [A b] that the two threads of the QR fold at a time,
-# half each, so that their buffers together stay within about one budget
+# bytes of the rows of A that a blocked pass over A holds at a time. The two
+# threads of the QR of [A b] fold half a budget each, so that their buffers
+# together stay within about one; an LSQR step forms A z and A^T u on one
+# block while it is in cache.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import os
 import time
 import warnings
 from collections.abc import Iterable
@@ -281,6 +283,21 @@ def _from_dict(cls, data, what: str):
     return cls(**data)
 
 
+def _wrong_type(value, kind) -> bool:
+    """True unless value is a ``kind``; a bool counts as no number."""
+    return isinstance(value, bool) or not isinstance(value, kind)
+
+
+def _check_types(obj, kind, what: str, *names):
+    """ValueError naming the first of the fields ``names`` of ``obj`` whose
+    value is not a ``kind``, so that a wrong-typed config value is refused
+    where it is read, not as a TypeError deep in a run."""
+    for name in names:
+        value = getattr(obj, name)
+        if _wrong_type(value, kind):
+            raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
 @dataclass
 class ProblemSource:
     kind: str = "synthetic"  # "synthetic" | "csv"
@@ -294,6 +311,10 @@ class ProblemSource:
     b_path: str | None = None
 
     def __post_init__(self):
+        _check_types(self, numbers.Integral, "an integer", "rows", "cols")
+        _check_types(self, numbers.Real, "a number", "condition", "residual_fraction")
+        _check_types(self, str, "a string", "coherence", "b_policy")
+        _check_types(self, (str, os.PathLike, type(None)), "a path or null", "path", "b_path")
         if self.kind not in ("synthetic", "csv"):
             raise ValueError(f"unknown source kind {self.kind!r}; expected 'synthetic' or 'csv'")
         if self.kind == "csv" and self.path is None:
@@ -325,6 +346,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Iterable):
                 raise ValueError(f"{name} must be a list, not {value!r}")
+        for m in self.m_values:
+            if _wrong_type(m, numbers.Integral):
+                raise ValueError(f"m_values must hold integers, not {m!r}")
+        _check_types(self, numbers.Integral, "an integer", "trials", "seed", "timing_repeats")
+        _check_types(self, numbers.Real, "a number", "rho", "lsqr_tol")
+        if self.mu != "auto":
+            _check_types(self, numbers.Real, "a number or 'auto'", "mu")
         self.sketch_kinds = tuple(self.sketch_kinds)
         self.m_values = tuple(int(m) for m in self.m_values)
         self.methods = tuple(self.methods)
@@ -340,7 +368,7 @@ class ExperimentConfig:
             raise ValueError("timing_repeats must be at least 1")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError("rho must be finite and nonnegative")
-        if self.mu != "auto" and not 0.0 <= float(self.mu) < math.inf:
+        if self.mu != "auto" and not 0.0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and nonnegative, or 'auto'")
         if not 0.0 < self.lsqr_tol < math.inf:
             raise ValueError("lsqr_tol must be finite and positive")

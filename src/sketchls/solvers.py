@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, svdvals
 from scipy.linalg.lapack import dpocon
 
-from .core import RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm, solve_ols
+from .core import _BLOCK_BYTES, RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm, solve_ols
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
 from .sketch import SketchOperator
 
@@ -172,6 +172,22 @@ def blendenpik_preconditioner(P) -> np.ndarray:
     return R
 
 
+def _pass_over_a(A, z, alpha, u) -> np.ndarray:
+    """``u <- A z - alpha u`` in place, and returns ``A^T u`` of the updated u,
+    reading A once: both products are formed in row blocks of about
+    ``_BLOCK_BYTES``, the second while the block is still in cache. The
+    blocks go to BLAS through ``np.matmul``, which takes a C- or F-ordered
+    or row-strided block without copying it."""
+    step = max(1, _BLOCK_BYTES // (8 * A.shape[1]))
+    u *= -alpha
+    g = np.zeros(A.shape[1])
+    for lo in range(0, A.shape[0], step):
+        A_k, u_k = A[lo : lo + step], u[lo : lo + step]
+        u_k += A_k @ z
+        g += u_k @ A_k
+    return g
+
+
 def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     """LSQR on ``min ||A x - b||`` with an optional right preconditioner R.
 
@@ -182,7 +198,8 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     ``A^T r = R^T (A R^{-1})^T r``, the true gradient is at most ``||R||_2``
     times that (``||R||_2`` is taken once per call; 1 when R is None). While
     this bound is above the tolerance no iterate is formed, so an iteration
-    costs one product with A and one with A^T.
+    costs one pass over A, in row blocks: ``A z - alpha u`` and A^T of the
+    result are formed block by block.
 
     Once the bound passes (always on an exact breakdown, where it is 0), x is
     formed and the true gradient is checked once; converged is True only if
@@ -231,11 +248,12 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
             phibar, rhobar = beta, alpha
             restart = False
 
-        u = A @ solve_R(v) - alpha * u
+        atu = _pass_over_a(A, solve_R(v), alpha, u)
         beta = _norm(u)
         if beta > 0:
             u /= beta
-        v = solve_Rt(A.T @ u) - beta * v
+            atu /= beta
+        v = solve_Rt(atu) - beta * v
         alpha = _norm(v)
         if alpha > 0:
             v /= alpha
@@ -251,8 +269,8 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
         bound = norm_R * (phibar * alpha * abs(cs))
         if bound <= target:
             x = x + solve_R(y)
-            r = b - A @ x
-            g = A.T @ r
+            r = b.copy()
+            g = _pass_over_a(A, -x, -1.0, r)  # r = b - A x, g = A^T r
             bound = _norm(g)
             if bound <= target:
                 return x, k, True

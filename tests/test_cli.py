@@ -137,6 +137,9 @@ RECORD = {"config_hash": "h", "method": "pcls", "sketch": "ros", "m": 10, "trial
         ("bench", {"source": {"kind": "csv"}}, "path"),
         ("profile --group-by methd", RECORD, "methd"),
         ("profile", {"method": "pcls"}, "line 1"),
+        ("bench", {"trials": "3"}, "trials"),
+        ("bench", {"source": {"kind": "synthetic", "rows": "abc"}}, "rows"),
+        ("bench", {"m_values": [None]}, "m_values"),
     ],
 )
 def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command, content, named):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,13 +31,25 @@ from sketchls import (
     solve_ridge_pcls,
     solve_robust_cls,
 )
-from sketchls.solvers import GramSolver
+from sketchls import solvers
+from sketchls.solvers import GramSolver, _pass_over_a
 
 
 def sketched(problem, kind="gaussian", m=None, seed=0):
     m = m or 4 * problem.N
     op = make_sketch(SketchSpec(kind=kind, m=m, M=problem.M, seed=seed))
     return SketchedProblem.from_problem(problem, op), op
+
+
+def layouts(A):
+    """A as C-ordered, F-ordered and row-strided (every other row of a C
+    array) arrays with equal entries, each read-only."""
+    strided = np.empty((2 * A.shape[0], A.shape[1]))[::2]
+    strided[...] = A
+    out = {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A), "strided": strided}
+    for X in out.values():
+        X.flags.writeable = False
+    return out
 
 
 def relative_gradient(A, b, x):
@@ -375,6 +388,62 @@ class TestBlendenpik:
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         x, iters, converged = preconditioned_lsqr(A, np.array([0.0, 0.0, 5.0]), tol=1e-10)
         assert converged and iters == 0 and np.array_equal(x, np.zeros(2))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("rows", [1, 3, 7], ids=["1-row", "3-row", "7-row"])
+    def test_one_pass_matches_two_products(self, monkeypatch, layout, rows):
+        # 50 rows: 3- and 7-row blocks leave a short last block of 2 and 1
+        rng = np.random.default_rng(45)
+        A = layouts(rng.standard_normal((50, 6)))[layout]
+        z, u0, alpha = rng.standard_normal(6), rng.standard_normal(50), 0.7
+        want_u = A @ z - alpha * u0
+        want_g = A.T @ want_u
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", rows * 8 * 6)
+        u = u0.copy()
+        g = _pass_over_a(A, z, alpha, u)
+        assert np.linalg.norm(u - want_u) <= 1e-13 * np.linalg.norm(want_u)
+        assert np.linalg.norm(g - want_g) <= 1e-13 * np.linalg.norm(want_g)
+
+    def test_layouts_give_the_same_solve(self, monkeypatch):
+        """C, F and row-strided A, read-only like b, in 64-row blocks: the
+        same iteration count and x to 1e-12, with A and b never written. BLAS
+        rounds an F-ordered product differently, so the solves agree only to
+        their forward error, about cond(A) times rounding: hence cond 10."""
+        problem, _ = planted_problem(np.random.default_rng(46), 1000, 12, condition=10.0)
+        op = make_sketch(SketchSpec(kind="count", m=60, M=1000, seed=47))
+        R = blendenpik_preconditioner(op.apply(problem.A))
+        b = problem.b.copy()
+        b.flags.writeable = False
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 64 * 8 * 12)
+        runs = {
+            name: preconditioned_lsqr(A, b, R=R, tol=1e-10)
+            for name, A in layouts(problem.A).items()
+        }
+        x_c, iters_c, _ = runs["C"]
+        for x, iters, converged in runs.values():
+            assert converged and iters == iters_c
+            assert np.linalg.norm(x - x_c) <= 1e-12 * np.linalg.norm(x_c)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lsqr_copies_no_block_of_a(self, order):
+        """A copy of A, or of a 1 MiB block of it per call, would lift the
+        peak past the bound (a block is 0.125 of A here); the vectors of
+        length M take about 0.035."""
+        M, N = 2**14, 64
+        rng = np.random.default_rng(48)
+        A = np.asarray(rng.standard_normal((M, N)), order=order)
+        b = rng.standard_normal(M)
+        R = blendenpik_preconditioner(
+            make_sketch(SketchSpec(kind="count", m=4 * N, M=M, seed=49)).apply(A)
+        )
+        tracemalloc.start()
+        try:
+            _, _, converged = preconditioned_lsqr(A, b, R=R, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert peak <= 0.1 * M * N * 8
 
     @pytest.mark.parametrize("kind", ["gaussian", "ros", "count", None])
     def test_contract_sweep(self, kind):
