@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, norm, qr, solve_triangular, svdvals
@@ -23,10 +23,10 @@ from .exceptions import (
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
 
-# bytes of the rows of A that a blocked pass over A holds at a time. The two
-# threads of the QR of [A b] fold half a budget each, so that their buffers
-# together stay within about one; an LSQR step forms A z and A^T u on one
-# block while it is in cache.
+# bytes of one working block, the one budget of the TSQR of [A b], the LSQR
+# pass over A and the ros transform: it fits a per-core L2 cache and makes
+# numpy's per-call cost negligible. The TSQR's two halves fold half a budget
+# each; an LSQR step forms A z and A^T u on one block while it is in cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -50,6 +50,17 @@ def _norm(v) -> float:
     """Euclidean norm by BLAS ``nrm2``, which scales as it sums: it under- or
     overflows only where the norm itself does, unlike ``sqrt(sum(v**2))``."""
     return float(norm(v, check_finite=False))
+
+
+def _halves(work, items):
+    """``(work(items[:k]), work(items[k:]))`` with k = len(items) // 2: the
+    first half in the worker of a one-thread pool that this call starts and
+    joins, the rest in the caller. An error on either side is raised once
+    both halves are done."""
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(work, items[: len(items) // 2])
+        last = work(items[len(items) // 2 :])
+    return first.result(), last
 
 
 def _fold(r, blocks) -> np.ndarray:
@@ -105,8 +116,8 @@ class LSProblem:
         ``||A x - b|| = ||R_aug [x; -1]||``.
 
         A flat-tree TSQR: the rows are split into blocks of half
-        ``_BLOCK_BYTES`` and at least 4(N+1) rows; the worker of a one-thread
-        pool folds the first half of the blocks, the caller the rest, and one
+        ``_BLOCK_BYTES`` and at least 4(N+1) rows; ``_halves`` folds the first
+        half of the blocks in its worker and the rest in the caller, and one
         last QR combines the two R's. The split is fixed, so equal inputs
         give a bit-identical R; with one block it is a single Householder QR.
         Its rows may differ in sign from that of one QR of the whole
@@ -119,10 +130,8 @@ class LSProblem:
         if len(blocks) == 1:
             r_aug = _fold(None, blocks)
         else:
-            with ThreadPoolExecutor(1) as pool:
-                first = pool.submit(_fold, None, blocks[: len(blocks) // 2])
-                last = _fold(None, blocks[len(blocks) // 2 :])
-                r_aug = _fold(first.result(), [(last[:, :N], last[:, N])])
+            first, last = _halves(partial(_fold, None), blocks)
+            r_aug = _fold(first, [(last[:, :N], last[:, N])])
         svals = svdvals(r_aug[:N, :N], check_finite=False)
         if svals[-1] <= RANK_REL_TOL * svals[0]:
             raise RankDeficientError(

@@ -132,14 +132,14 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
     side is ``A x_star + z`` with ``z`` orthogonal to range(A) and
     ``||z|| = residual_fraction * ||A x_star||``.
     """
-    if M < N:
-        raise DimensionError(f"need M >= N, got {M} < {N}")
-    if condition < 1:
-        raise ValueError("condition number must be at least 1")
+    if not M >= N >= 1:
+        raise DimensionError(f"need M >= N >= 1, got M = {M}, N = {N}")
+    if not 1 <= condition < math.inf:
+        raise ValueError("condition number must be finite and at least 1")
     if coherence not in COHERENCE_CLASSES:
         raise ValueError(f"unknown coherence class {coherence!r}")
-    if residual_fraction < 0:
-        raise ValueError("residual fraction must be nonnegative")
+    if not 0 <= residual_fraction < math.inf:
+        raise ValueError("residual fraction must be finite and nonnegative")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_PROBLEM_STREAM,))
     )

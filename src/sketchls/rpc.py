@@ -34,28 +34,27 @@ from .sketch import SketchOperator
 from .solvers import SketchedProblem, solve_cls, solve_pcls
 
 
+# the scalar solve: Brent's relative tolerance on s, its iteration cap, and
+# the bound on the gap |||P x|| / (s ||x||) - 1| checked after it
+_BRENT_RTOL = 1e-12
+_BRENT_MAXITER = 500
+_GAP_BOUND = 1e-10
+
+
 @dataclass(frozen=True)
 class RpcParams:
-    """Tolerances and iteration caps for the robust partially-compressed solver.
+    """The uncertainty radius ``rho`` of the robust partially-compressed solver.
 
-    ``newton_tol`` is the relative tolerance on s of the Brent solve (4
-    machine epsilons, brentq's least, if below that) and ``max_newton`` caps
-    its iterations. ``eps`` bounds the gap ``|||P x|| / (s ||x||) - 1|``
-    checked after that solve.
+    The solve itself is fixed: Brent's method finds s to a relative
+    tolerance of 1e-12 within 500 iterations, and the gap
+    ``|||P x|| / (s ||x||) - 1|`` checked after it must be at most 1e-10.
     """
 
     rho: float = 1.0
-    eps: float = 1e-10
-    newton_tol: float = 1e-12
-    max_newton: int = 500
 
     def __post_init__(self):
         if not 0.0 <= self.rho < math.inf:
             raise ValueError("rho must be finite and nonnegative")
-        if not (0.0 < self.eps < 1.0) or not (0.0 < self.newton_tol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_newton < 1:
-            raise ValueError("iteration cap must be at least 1")
 
 
 @dataclass
@@ -147,7 +146,7 @@ def solve_rpc_sketched(
     Solves one increasing equation in s (see the module docstring) and
     raises :class:`ConvergenceError`, with gamma = 1/s and the normalization
     gap in ``diagnostics``, when that solve fails or its gap exceeds
-    ``params.eps``. ``b_norm``, the norm of the uncompressed right-hand
+    1e-10. ``b_norm``, the norm of the uncompressed right-hand
     side, is accepted for compatibility and no longer read.
     """
     params = params or RpcParams()
@@ -202,8 +201,8 @@ def solve_rpc_sketched(
         s = float(sigma[0])
         if g(s) > 0.0:
             s, info = brentq(
-                g, 0.0, s, xtol=1e-300, rtol=max(params.newton_tol, 4 * np.finfo(float).eps),
-                maxiter=params.max_newton, full_output=True, disp=False,
+                g, 0.0, s, xtol=1e-300, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
+                full_output=True, disp=False,
             )
             iterations, converged = info.iterations, info.converged
     u = bbar / r
@@ -218,9 +217,9 @@ def solve_rpc_sketched(
     w[keep] = sigma[keep] * bbar[keep] / ((d + r * s) * tau)
     gamma = 1.0 / (s * ps) if s > 0 else math.inf
     gap = _norm(w) - 1.0 if s > 0 else 0.0
-    if not converged or not abs(gap) <= params.eps:
+    if not converged or not abs(gap) <= _GAP_BOUND:
         raise ConvergenceError(
-            f"dual search did not converge (gap {gap:.3e}, eps {params.eps:.3e})",
+            f"dual search did not converge (gap {gap:.3e}, bound {_GAP_BOUND:.3e})",
             last_iterate=(pc / ps * tau, gamma),
             diagnostics={"gamma": gamma, "gap": gap},
         )

@@ -11,7 +11,7 @@ Three families are provided:
   padding is formed: apply transforms blocks of the M rows in place, then
   combines each sampled row's rows of the blocks in one butterfly tree,
   bit-identical to the plain stage-by-stage butterfly on the padded length;
-  the caller and one worker thread share the work;
+  each step splits its work between the caller and one worker thread;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
   sparse CSC matrix and applied in O(nnz).
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
+from .core import _BLOCK_BYTES, _halves
 from .exceptions import DimensionError
 
 KINDS = ("gaussian", "ros", "count")  # index = generator stream, so only append
@@ -76,9 +77,6 @@ def next_pow_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-# bytes of one working block of the transform: small enough to stay in a
-# per-core L2 cache, large enough that numpy's per-call cost is negligible
-_BLOCK_BYTES = 1 << 20
 # bytes of one block of Gaussian rows: drawing it far outlasts a thread handoff
 _GAUSSIAN_BLOCK_BYTES = 32 << 20
 
@@ -108,14 +106,6 @@ def _scratch(size: int) -> np.ndarray:
     return np.empty(max(1, min(size // 2, _BLOCK_BYTES // 32)))
 
 
-def _halves(pool, work, items: range) -> None:
-    """``work`` on the first half of ``items`` in the worker of the one-thread
-    ``pool`` and on the rest in the caller; an error on either side is raised."""
-    first = pool.submit(work, items[: len(items) // 2])
-    work(items[len(items) // 2 :])
-    first.result()
-
-
 def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
     """The stages from h on of the transform on the rows of a C-contiguous
     ``a``, in place: stage h replaces each pair (x, y) of rows h apart within
@@ -138,14 +128,14 @@ def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
         h *= 2
 
 
-def _blocked(a: np.ndarray, H: int, pool) -> None:
+def _blocked(a: np.ndarray, H: int) -> None:
     """Every stage below H of the transform on each block of H rows of the
     C-contiguous 2-D ``a``, in place (a shorter last block must hold a power
     of two rows): the stages below B, a cache block's rows, on each block of
     B rows, then B .. H/2 on each block of H rows. These are the butterflies
     of ``_butterflies`` on the whole array, so the result is bit-identical to
-    it. The caller and the worker of the one-thread ``pool`` take half of the
-    blocks each, with at most a quarter block of scratch apiece."""
+    it. ``_halves`` gives the caller and its worker half of the blocks each,
+    with at most a quarter block of scratch apiece."""
     n, w = a.shape
     B = min(H, _block_rows(8 * w, _BLOCK_BYTES))
 
@@ -155,7 +145,7 @@ def _blocked(a: np.ndarray, H: int, pool) -> None:
             for start in starts:
                 _butterflies(a[start : start + size], t, h)
 
-        _halves(pool, work, range(0, n, size))
+        _halves(work, range(0, n, size))
 
     stages(B, 1)
     if B < H:
@@ -172,8 +162,7 @@ def fwht(x: np.ndarray) -> np.ndarray:
     n = out.shape[0]
     if n < 1 or n & (n - 1):
         raise DimensionError(f"length {n} is not a power of two")
-    with ThreadPoolExecutor(1) as pool:
-        _blocked(out.reshape(n, math.prod(out.shape[1:])), n, pool)
+    _blocked(out.reshape(n, math.prod(out.shape[1:])), n)
     return out
 
 
@@ -234,8 +223,8 @@ class RosSketch(SketchOperator):
     length that reach row r, so the result is bit-identical to it.
 
     It needs one M-row array, under half a block of zero rows, scratch
-    within the current block budget and its output. The calling thread and
-    the one worker that each call starts and joins share the work.
+    within the current block budget and its output. The sign flips, the
+    block transforms and the trees each split their work with ``_halves``.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
@@ -283,11 +272,10 @@ class RosSketch(SketchOperator):
                     bit *= 2
                 np.divide(leaves[0], math.sqrt(m), out=out[lo : lo + per])
 
-        with ThreadPoolExecutor(1) as pool:
-            _halves(pool, flip, range(M))
-            _blocked(signed, H, pool)
-            out = np.empty((m, w))
-            _halves(pool, tree, range(0, m, per))
+        _halves(flip, range(M))
+        _blocked(signed, H)
+        out = np.empty((m, w))
+        _halves(tree, range(0, m, per))
         return out.reshape(-1) if X.ndim == 1 else out
 
 

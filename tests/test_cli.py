@@ -1,3 +1,4 @@
+import ctypes
 import json
 
 import numpy as np
@@ -140,14 +141,23 @@ RECORD = {"config_hash": "h", "method": "pcls", "sketch": "ros", "m": 10, "trial
         ("bench", {"trials": "3"}, "trials"),
         ("bench", {"source": {"kind": "synthetic", "rows": "abc"}}, "rows"),
         ("bench", {"m_values": [None]}, "m_values"),
+        ("bench", {"source": {"kind": "synthetic", "rows": 60, "cols": 0}}, "N = 0"),
+        ("generate --rows 10 --cols 0", None, "N = 0"),
+        ("generate --rows 10 --cols 2 --condition inf", None, "condition"),
+        ("generate --rows 10 --cols 2 --residual-fraction nan", None, "residual fraction"),
     ],
 )
-def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command, content, named):
-    # each input is rejected where it is parsed, with the bad key or line named
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(content) + "\n")
+def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capfd, command, content, named):
+    # each input is rejected where it is parsed, with the bad key or line named,
+    # before anything else is printed: capfd also sees the messages of BLAS,
+    # which go through C stdio and reach the file descriptors once flushed
     name, *flags = command.split()
-    source = "--config" if name == "bench" else "--records"
-    code, _, stderr = run_cli([name, source, str(path), "--out", str(tmp_path / "out"), *flags],
-                              capsys)
-    assert code == 1 and "error:" in stderr and named in stderr
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content) + "\n")
+        flags += ["--config" if name == "bench" else "--records", str(path)]
+    code = main([name, *flags, "--out", str(tmp_path / "out")])
+    ctypes.CDLL(None).fflush(None)
+    out = capfd.readouterr()
+    assert code == 1 and named in out.err
+    assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -334,3 +335,34 @@ class TestTsqr:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * M * N * 8
+
+
+class TestHalves:
+    def test_returns_each_half_in_order_and_joins(self):
+        caller = threading.current_thread()
+        before = threading.active_count()
+        seen = {}
+
+        def work(part):
+            seen[threading.current_thread() is caller] = list(part)
+            return sum(part)
+
+        assert core._halves(work, range(7)) == (0 + 1 + 2, 3 + 4 + 5 + 6)
+        assert seen == {False: [0, 1, 2], True: [3, 4, 5, 6]}
+        assert threading.active_count() == before
+
+    def test_raises_a_worker_error_after_the_callers_half(self):
+        caller = threading.current_thread()
+        before = threading.active_count()
+        done = []
+
+        def work(part):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker failed")
+            time.sleep(0.05)  # the worker fails first
+            done.append(list(part))
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            core._halves(work, range(4))
+        assert done == [[2, 3]]
+        assert threading.active_count() == before

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sketchls import (
     CsvFormatError,
+    DimensionError,
     ExperimentConfig,
     ProblemSource,
     TrialRecord,
@@ -84,6 +85,26 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 5, 0.5, "incoherent", seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 5, 10.0, "striped", seed=0)
+
+    @pytest.mark.parametrize(
+        "M, N, condition, fraction, error",
+        [
+            (10, 0, 10.0, 0.5, DimensionError),
+            (0, 0, 10.0, 0.5, DimensionError),
+            (10, 5, math.inf, 0.5, ValueError),
+            (10, 5, math.nan, 0.5, ValueError),
+            (10, 5, 10.0, math.inf, ValueError),
+            (10, 5, 10.0, math.nan, ValueError),
+        ],
+    )
+    def test_rejects_bad_sizes_before_drawing(self, monkeypatch, M, N, condition, fraction,
+                                              error):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made before the arguments were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(error):
+            generate_synthetic(M, N, condition, "incoherent", seed=0, residual_fraction=fraction)
 
 
 class TestHaarColumns:

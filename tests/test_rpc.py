@@ -41,17 +41,12 @@ def random_sketched(rng, m, N, c_scale=1.0):
 class TestParams:
     def test_defaults_are_valid(self):
         p = RpcParams()
-        assert p.rho == 1.0 and p.eps == 1e-10
+        assert p.rho == 1.0 and rpc._GAP_BOUND == 1e-10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rho": -0.5},
-            {"eps": 0.0},
-            {"eps": 1.5},
-            {"newton_tol": 0.0},
-            {"max_newton": 0},
-            {"newton_tol": 1.0},
             {"rho": math.nan},
             {"rho": math.inf},
         ],
@@ -387,16 +382,17 @@ class TestSolveRpc:
             assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_newton": 1}, {"newton_tol": 1e-3, "eps": 1e-14}]
+        "kwargs", [{"_BRENT_MAXITER": 1}, {"_BRENT_RTOL": 1e-3, "_GAP_BOUND": 1e-14}]
     )
-    def test_failed_solve_reports_gamma_and_gap(self, kwargs):
-        # out of Newton steps, or a root too loose for the gap check
+    def test_failed_solve_reports_gamma_and_gap(self, monkeypatch, kwargs):
+        # out of iterations, or a root too loose for the gap check
+        for name, value in kwargs.items():
+            monkeypatch.setattr(rpc, name, value)
         sp = random_sketched(np.random.default_rng(26), 12, 4)
-        params = RpcParams(rho=1.0, **kwargs)
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_rpc_sketched(sp, b_norm=1.0, params=params)
+            solve_rpc_sketched(sp, b_norm=1.0, params=RpcParams(rho=1.0))
         diagnostics = excinfo.value.diagnostics
-        assert diagnostics["gamma"] > 0 and abs(diagnostics["gap"]) > params.eps
+        assert diagnostics["gamma"] > 0 and abs(diagnostics["gap"]) > rpc._GAP_BOUND
 
     def test_solution_serializes(self):
         sol = solve_rpc_sketched(DESK, b_norm=1.0, params=RpcParams(rho=1.0))
@@ -484,7 +480,7 @@ class TestOracle:
             if math.isinf(sol.gamma):
                 continue  # null corner: P x = 0, where the oracle cannot run
             # normalization gap: gamma ||P x|| / ||x|| = 1
-            assert abs(sol.gamma * sol.alpha / sol.beta - 1.0) <= params.eps
+            assert abs(sol.gamma * sol.alpha / sol.beta - 1.0) <= rpc._GAP_BOUND
             _, f_oracle = rpc_oracle(sp, rho=params.rho)
             f = rpc_objective(sp, sol.x, params.rho)
             assert abs(f - f_oracle) <= 1e-6 * (1 + abs(f_oracle))
