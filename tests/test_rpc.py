@@ -47,6 +47,11 @@ class TestParams:
         "kwargs",
         [
             {"rho": -0.5},
+            {"rho": -1},
+            {"rho": -math.inf},
+            {"rho": -5e-324},
+            {"rho": np.float64(-0.5)},
+            {"rho": np.float32(math.nan)},
             {"rho": math.nan},
             {"rho": math.inf},
         ],
