@@ -56,10 +56,14 @@ def _halves(work, items):
     """``(work(items[:k]), work(items[k:]))`` with k = len(items) // 2: the
     first half in the worker of a one-thread pool that this call starts and
     joins, the rest in the caller. An error on either side is raised once
-    both halves are done."""
+    both halves are done. With k = 0 the caller runs both and no thread
+    starts."""
+    k = len(items) // 2
+    if not k:
+        return work(items[:0]), work(items)
     with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(work, items[: len(items) // 2])
-        last = work(items[len(items) // 2 :])
+        first = pool.submit(work, items[:k])
+        last = work(items[k:])
     return first.result(), last
 
 

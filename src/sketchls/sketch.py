@@ -8,10 +8,11 @@ Three families are provided:
   Walsh-Hadamard transform on the zero-padded power-of-two length, and
   uniform row subsampling without replacement, scaled so that
   E[Phi^T Phi] = I on the original coordinates; neither Phi nor the
-  padding is formed: apply transforms blocks of the M rows in place, then
-  combines each sampled row's rows of the blocks in one butterfly tree,
-  bit-identical to the plain stage-by-stage butterfly on the padded length;
-  each step splits its work between the caller and one worker thread;
+  padding is formed: one pass flips and transforms each block of the M
+  rows of all inputs together, then each sampled row's rows of the blocks
+  meet in one butterfly tree, bit-identical to the plain stage-by-stage
+  butterfly on the padded length; the pass and the trees each split their
+  work between the caller and one worker thread;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
   sparse CSC matrix and applied in O(nnz).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,10 +54,13 @@ class SketchSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}; expected one of {KINDS}")
-        if not (1 <= self.m <= self.M):
-            raise ValueError(f"need 1 <= m <= M, got m={self.m}, M={self.M}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name in ("m", "M", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as int, for to_json
+        if not (1 <= self.m <= self.M and self.seed >= 0):
+            raise ValueError(f"need 1 <= m <= M and seed >= 0, got {self}")
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "m": self.m, "M": self.M, "seed": self.seed})
@@ -63,7 +68,7 @@ class SketchSpec:
     @classmethod
     def from_json(cls, text: str) -> "SketchSpec":
         data = json.loads(text)
-        return cls(kind=data["kind"], m=int(data["m"]), M=int(data["M"]), seed=int(data["seed"]))
+        return cls(kind=data["kind"], m=data["m"], M=data["M"], seed=data["seed"])
 
 
 def _spec_rng(spec: SketchSpec) -> np.random.Generator:
@@ -100,12 +105,6 @@ def _ros_blocks(m: int, M: int, w: int) -> tuple[int, int, int]:
     return H, blocks, next_pow_two(M - (blocks - 1) * H)
 
 
-def _scratch(size: int) -> np.ndarray:
-    """Scratch for ``_butterflies`` on ``size`` elements: half of them, so
-    that each stage runs in one piece, but at most a quarter block."""
-    return np.empty(max(1, min(size // 2, _BLOCK_BYTES // 32)))
-
-
 def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
     """The stages from h on of the transform on the rows of a C-contiguous
     ``a``, in place: stage h replaces each pair (x, y) of rows h apart within
@@ -128,28 +127,33 @@ def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
         h *= 2
 
 
-def _blocked(a: np.ndarray, H: int) -> None:
-    """Every stage below H of the transform on each block of H rows of the
-    C-contiguous 2-D ``a``, in place (a shorter last block must hold a power
-    of two rows): the stages below B, a cache block's rows, on each block of
-    B rows, then B .. H/2 on each block of H rows. These are the butterflies
-    of ``_butterflies`` on the whole array, so the result is bit-identical to
-    it. ``_halves`` gives the caller and its worker half of the blocks each,
-    with at most a quarter block of scratch apiece."""
-    n, w = a.shape
+def _signed_blocks(signs: np.ndarray, Xs, H: int) -> np.ndarray:
+    """``signs * X`` of the M-row 2-D inputs ``Xs`` side by side in one new
+    C-contiguous array, its last block alone zero-padded to a power of two
+    rows, with every stage below H of the transform run on each block of H
+    rows. ``_halves`` gives the caller and its worker half of the blocks:
+    each flips a block, then runs the stages below B, a cache block's rows,
+    on each B rows and B .. H/2 on the block while it is in cache. These are
+    the butterflies of ``_butterflies`` on the whole array, bit for bit."""
+    M, w = len(Xs[0]), sum(X.shape[1] for X in Xs)
+    tail = (M - 1) // H * H  # the last block's first row
+    out = np.empty((tail + next_pow_two(M - tail), w))
     B = min(H, _block_rows(8 * w, _BLOCK_BYTES))
+    parts = np.split(out, np.cumsum([X.shape[1] for X in Xs])[:-1], axis=1)
 
-    def stages(size, h):
-        def work(starts):
-            t = _scratch(size * w)
-            for start in starts:
-                _butterflies(a[start : start + size], t, h)
+    def work(starts):
+        t = np.empty(max(1, min(H * w // 2, _BLOCK_BYTES // 32)))
+        for lo in starts:
+            block, hi = out[lo : lo + H], min(lo + H, M)
+            for X, part in zip(Xs, parts):
+                np.multiply(signs[lo:hi, None], X[lo:hi], out=part[lo:hi])
+            block[hi - lo :] = 0.0
+            for sub in range(0, len(block), B):
+                _butterflies(block[sub : sub + B], t)
+            _butterflies(block, t, B)
 
-        _halves(work, range(0, n, size))
-
-    stages(B, 1)
-    if B < H:
-        stages(H, B)
+    _halves(work, range(0, M, H))
+    return out
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -158,12 +162,14 @@ def fwht(x: np.ndarray) -> np.ndarray:
     The leading dimension must be a power of two. ``fwht(fwht(x)) == n * x``.
     Returns a new array; ``x`` is never changed.
     """
-    out = np.array(x, dtype=float, order="C")
-    n = out.shape[0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise DimensionError("input must have at least one dimension")
+    n = x.shape[0]
     if n < 1 or n & (n - 1):
         raise DimensionError(f"length {n} is not a power of two")
-    _blocked(out.reshape(n, math.prod(out.shape[1:])), n)
-    return out
+    # one block of n rows; multiplying by 1.0 is exact
+    return _signed_blocks(np.ones(n), [x.reshape(n, math.prod(x.shape[1:]))], n).reshape(x.shape)
 
 
 class SketchOperator:
@@ -193,12 +199,12 @@ class SketchOperator:
         return X
 
     def apply(self, X):
-        X = self._check_rows(X, self.matrix.shape[1])
-        return self.matrix @ X
+        return self.apply_each(X)[0]
 
     def apply_each(self, *Xs) -> tuple:
-        """Each ``self.apply(X)``, bit for bit; ``gaussian`` draws Phi once for all."""
-        return tuple(self.apply(X) for X in Xs)
+        """Phi X for each X, each bit for bit as if applied alone; ``gaussian``
+        draws Phi once for all and ``ros`` transforms them in one pass."""
+        return tuple(self.matrix @ self._check_rows(X, self.matrix.shape[1]) for X in Xs)
 
     def materialize(self) -> np.ndarray:
         """Dense m x M matrix of the operator (testing / small sizes only)."""
@@ -214,17 +220,17 @@ class RosSketch(SketchOperator):
     Phi is never formed, nor is the padding beyond the last block.
 
     With blocks of H rows (``_ros_blocks``), H_n = (H_{n/H} (x) I_H)
-    (I_{n/H} (x) H_H). ``apply`` flips the signs into one copy of the input
-    whose last block alone is zero-padded, to a power of two, and transforms
-    each block. Kept row r = J H + k is then row J of H_{n/H} over the rows
-    k of the blocks: a tree that adds or subtracts pairs of them, one level
-    per bit of J, where a node with no partner meets a zero block. These are
-    the butterflies of the plain stage-by-stage transform on the padded
-    length that reach row r, so the result is bit-identical to it.
+    (I_{n/H} (x) H_H). ``apply_each`` flips the signs of all its inputs into
+    the columns of one M-row array whose last block alone is zero-padded, to
+    a power of two, and transforms each block (``_signed_blocks``). Kept row
+    r = J H + k is then row J of H_{n/H} over the rows k of the blocks: a
+    tree that adds or subtracts pairs of them, one level per bit of J, where
+    a node with no partner meets a zero block. These are the butterflies of
+    the plain stage-by-stage transform on the padded length that reach row
+    r, so each output is bit-identical to it, whatever the other inputs.
 
-    It needs one M-row array, under half a block of zero rows, scratch
-    within the current block budget and its output. The sign flips, the
-    block transforms and the trees each split their work with ``_halves``.
+    It needs that array, under half a block of zero rows, scratch within
+    the block budget, its output and a copy of each input's columns of it.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
@@ -232,19 +238,16 @@ class RosSketch(SketchOperator):
         self.signs = signs  # +/-1 per input coordinate, length M
         self.rows = rows  # sampled transform rows, length m, drawn from n
 
-    def apply(self, X):
-        X = self._check_rows(X, self.spec.M)
-        Xm = X[:, None] if X.ndim == 1 else X
-        (M, w), m = Xm.shape, self.spec.m
-        H, blocks, last = _ros_blocks(m, M, w)
-        signed = np.empty(((blocks - 1) * H + last, w))
-        signed[M:] = 0.0
-        # a chunk of `per` kept rows gathers blocks x w values per row
-        per = max(1, min(_BLOCK_BYTES // 4 // max(1, 8 * blocks * w), -(-m // 2)))
-
-        def flip(part):
-            part = slice(part.start, part.stop)
-            np.multiply(self.signs[part, None], Xm[part], out=signed[part])
+    def apply_each(self, *Xs) -> tuple:
+        Xs = [self._check_rows(X, self.spec.M) for X in Xs]
+        widths = [1 if X.ndim == 1 else X.shape[1] for X in Xs]
+        m, w = self.spec.m, sum(widths)
+        H, blocks, last = _ros_blocks(m, self.spec.M, w)
+        signed = _signed_blocks(self.signs, [X.reshape(len(X), k) for X, k in zip(Xs, widths)], H)
+        # a chunk of `per` kept rows gathers blocks x w values per row; one
+        # block's trees are a gather, which needs no worker within the budget
+        per = _BLOCK_BYTES // 4 // max(1, 8 * blocks * w)
+        per = max(1, min(per, m if blocks == 1 else -(-m // 2)))
 
         def tree(starts):
             nodes = np.empty(blocks * per * w)
@@ -272,11 +275,10 @@ class RosSketch(SketchOperator):
                     bit *= 2
                 np.divide(leaves[0], math.sqrt(m), out=out[lo : lo + per])
 
-        _halves(flip, range(M))
-        _blocked(signed, H)
         out = np.empty((m, w))
         _halves(tree, range(0, m, per))
-        return out.reshape(-1) if X.ndim == 1 else out
+        parts = np.split(out, np.cumsum(widths)[:-1], axis=1)
+        return tuple(np.ascontiguousarray(p).reshape((m,) + X.shape[1:]) for X, p in zip(Xs, parts))
 
 
 class GaussianSketch(SketchOperator):
@@ -308,9 +310,6 @@ class GaussianSketch(SketchOperator):
                 if k + 2 < len(bounds):
                     pending = pool.submit(draw, k + 1)
                 use(slice(bounds[k], bounds[k + 1]), block)
-
-    def apply(self, X):
-        return self.apply_each(X)[0]
 
     def apply_each(self, *Xs) -> tuple:
         Xs = [self._check_rows(X, self.spec.M) for X in Xs]
@@ -354,8 +353,8 @@ def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> f
     if spec.kind == "gaussian":
         return float(spec.m) * spec.M * N
     if spec.kind == "ros":
-        # what RosSketch.apply runs: every stage below H on each block of H
-        # rows, the last block's on its `last` rows, and the blocks - 1
+        # what RosSketch.apply_each runs: every stage below H on each block
+        # of H rows, the last block's on its `last` rows, and the blocks - 1
         # butterflies of each kept row's tree
         H, blocks, last = _ros_blocks(spec.m, spec.M, N)
         tree = spec.m * (blocks - 1)

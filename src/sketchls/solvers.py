@@ -38,6 +38,8 @@ class SketchedProblem:
         m, N = self.P.shape
         self.q = _as_vector(self.q, length=m, name="q")
         self.c = _as_vector(self.c, length=N, name="c")
+        if not all(np.all(np.isfinite(v)) for v in (self.P, self.q, self.c)):
+            raise ValueError("sketched data must be finite")
 
     @classmethod
     def from_problem(cls, problem: LSProblem, op: SketchOperator) -> "SketchedProblem":
@@ -230,6 +232,8 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     x = np.zeros(A.shape[1])  # the last iterate whose true gradient was checked
     r, g = b, A.T @ b  # its residual b - A x and gradient A^T r
     g_norm = _norm(g)
+    if not math.isfinite(g_norm):
+        raise ValueError("A^T b is not finite: A and b must be finite")
     target = tol * g_norm
     if g_norm <= target:
         return x, 0, True

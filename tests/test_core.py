@@ -366,3 +366,15 @@ class TestHalves:
             core._halves(work, range(4))
         assert done == [[2, 3]]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_runs_fewer_than_two_items_in_the_caller(self, monkeypatch, n):
+        caller, start, starts = threading.current_thread(), threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+
+        def work(part):
+            assert threading.current_thread() is caller
+            return list(part)
+
+        assert core._halves(work, range(n)) == ([], list(range(n)))
+        assert starts == []

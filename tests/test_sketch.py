@@ -20,6 +20,18 @@ from sketchls import sketch
 from sketchls.sketch import _BLOCK_BYTES, KINDS, _spec_rng, next_pow_two
 
 
+def count_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, in a list that grows as they start."""
+    starts, start = [], threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
 def butterfly_reference(X):
     """The transform stage by stage: stage h maps each pair (x, y) of rows
     h apart within blocks of 2h rows to (x + y, x - y)."""
@@ -45,11 +57,26 @@ class TestSketchSpec:
             {"kind": "gaussian", "m": 0, "M": 4, "seed": 0},
             {"kind": "gaussian", "m": 5, "M": 4, "seed": 0},
             {"kind": "gaussian", "m": 2, "M": 4, "seed": -1},
+            {"kind": "ros", "m": 2, "M": 4, "seed": 1.5},
+            {"kind": "ros", "m": True, "M": 4, "seed": 0},
+            {"kind": "ros", "m": "2", "M": 4, "seed": 0},
+            {"kind": "ros", "m": 2, "M": 4.0, "seed": 0},
+            {"kind": "ros", "m": 1, "M": np.True_, "seed": 0},
+            {"kind": "ros", "m": 2, "M": 4, "seed": np.float64(1.0)},
+            {"kind": "ros", "m": 2, "M": 4, "seed": None},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SketchSpec(**kwargs)
+
+    def test_takes_numpy_integers_as_int(self):
+        spec = SketchSpec(kind="ros", m=np.int64(3), M=np.int32(8), seed=np.uint8(1))
+        assert spec == SketchSpec(kind="ros", m=3, M=8, seed=1)
+        assert all(type(v) is int for v in (spec.m, spec.M, spec.seed))
+        assert SketchSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(ValueError):
+            SketchSpec.from_json('{"kind": "ros", "m": 3, "M": 8, "seed": 1.5}')
 
 
 class TestFwht:
@@ -100,6 +127,10 @@ class TestFwht:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(DimensionError):
             fwht(np.ones(6))
+
+    def test_rejects_a_scalar(self):
+        with pytest.raises(DimensionError):
+            fwht(np.float64(1.0))
 
     def test_next_pow_two(self):
         assert [next_pow_two(n) for n in (1, 2, 3, 100, 128)] == [1, 2, 4, 128, 128]
@@ -273,6 +304,38 @@ class TestApply:
         expected = butterfly_reference(padded)[op.rows] / math.sqrt(op.spec.m)
         assert op.apply(X).tobytes() == expected.tobytes()
 
+    def test_ros_apply_each_holds_one_signed_copy(self):
+        # A and b side by side in one M-row array, not a copy of each
+        M, N = 2**14, 64
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=0))
+        rng = np.random.default_rng(0)
+        A, b = rng.standard_normal((M, N)), rng.standard_normal(M)
+        tracemalloc.start()
+        try:
+            op.apply_each(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M * (N + 1) * 8
+
+    def test_ros_apply_each_starts_two_workers(self, monkeypatch):
+        # one for the flips and block transforms of A and b, one for the trees
+        M = 2**14
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=1))
+        assert sketch._ros_blocks(300, M, 65)[1] > 1
+        starts = count_thread_starts(monkeypatch)
+        op.apply_each(np.ones((M, 64)), np.ones(M))
+        assert len(starts) == 2
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # a split of fewer than two items runs in the caller
+        op = make_sketch(SketchSpec(kind="ros", m=9, M=40, seed=2))
+        assert sketch._ros_blocks(9, 40, 6)[1] == 1
+        starts = count_thread_starts(monkeypatch)
+        fwht(np.ones((8, 1)))
+        op.apply_each(np.ones((40, 5)), np.ones(40))
+        assert starts == []
+
     def test_ros_apply_leaves_no_thread(self, monkeypatch):
         M = 2**14
         op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=1))
@@ -326,13 +389,30 @@ class TestApply:
         P, q = op.apply_each(X, b)
         assert P.tobytes() == (phi @ X).tobytes() and q.tobytes() == (phi @ b).tobytes()
 
+    # Beyond one 40-row block: the shapes and patched budgets of
+    # test_ros_apply_matches_butterflies_across_blocks, where ros gets other
+    # blocks for A and b side by side than for each alone
     @pytest.mark.parametrize("kind", KINDS + (None,))
-    def test_apply_each_is_apply_on_each(self, kind):
-        op = identity_sketch(40) if kind is None else make_sketch(SketchSpec(kind, 9, 40, 2))
+    def test_apply_each_is_apply_on_each(self, monkeypatch, kind):
         rng = np.random.default_rng(9)
-        A, b = rng.standard_normal((40, 5)), rng.standard_normal(40)
-        P, q = op.apply_each(A, b)
-        assert P.tobytes() == op.apply(A).tobytes() and q.tobytes() == op.apply(b).tobytes()
+        cases = [(None, 40, 9, "matrix")] + [
+            (budget_rows, M, 200, layout)
+            for budget_rows in (16, 1024)
+            for M in (2**12, 2**12 + 1, 2**12 + 2**11 + 3)
+            for layout in ("matrix", "fortran")
+        ]
+        for budget_rows, M, m, layout in cases:
+            if budget_rows is not None:
+                monkeypatch.setattr(sketch, "_BLOCK_BYTES", budget_rows * 8 * 64)
+            op = identity_sketch(M) if kind is None else make_sketch(SketchSpec(kind, m, M, 2))
+            A, b = rng.standard_normal((M, 64 if budget_rows else 5)), rng.standard_normal(M)
+            if budget_rows is not None:
+                A[:, 32:] = rng.choice([0.0, -0.0], size=(M, 32))
+            if layout == "fortran":
+                A = np.asfortranarray(A)
+            P, q = op.apply_each(A, b)
+            assert P.tobytes() == op.apply(A).tobytes() and q.tobytes() == op.apply(b).tobytes()
+            assert P.flags.c_contiguous and q.flags.c_contiguous
 
     def test_gaussian_apply_holds_two_blocks_not_phi(self, monkeypatch):
         # memory is predictable from (m, M, N): two row blocks of Phi and the

@@ -30,6 +30,7 @@ from sketchls import (
     solve_ridge_cls,
     solve_ridge_pcls,
     solve_robust_cls,
+    solve_rpc_sketched,
 )
 from sketchls import solvers
 from sketchls.solvers import GramSolver, _pass_over_a
@@ -140,6 +141,29 @@ class TestClsPcls:
             x = solve_pcls(sp)
         _, s, Vt = np.linalg.svd(P, full_matrices=False)
         assert_allclose(x, Vt.T @ ((Vt @ sp.c) / s**2), rtol=1e-6)
+
+
+@pytest.mark.parametrize("bad, value", [("P", math.nan), ("q", math.inf), ("c", math.inf)])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_pcls,
+        solve_cls,
+        lambda sp: solve_ridge_pcls(sp, 0.5),
+        lambda sp: solve_ridge_cls(sp, 0.5),
+        lambda sp: solve_robust_cls(sp, 0.5),
+        lambda sp: solve_rpc_sketched(sp, 1.0),
+        default_mu,
+    ],
+    ids=["pcls", "cls", "ridge-pcls", "ridge-cls", "robust-cls", "rpc", "default_mu"],
+)
+def test_sketched_solvers_refuse_nonfinite_data(solve, bad, value):
+    # one ValueError at construction, not a solver's own failure further in
+    rng = np.random.default_rng(22)
+    data = dict(P=rng.standard_normal((12, 3)), q=rng.standard_normal(12), c=rng.standard_normal(3))
+    data[bad].flat[1] = value
+    with pytest.raises(ValueError, match="sketched data must be finite"):
+        solve(SketchedProblem(**data))
 
 
 class TestRidge:
@@ -382,6 +406,14 @@ class TestBlendenpik:
         K = scales[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
         with pytest.raises(SingularMatrixError):
             blendenpik_preconditioner(K)
+
+    @pytest.mark.parametrize("where, value", [("A", math.nan), ("b", math.inf)])
+    def test_rejects_nonfinite_data(self, where, value):
+        rng = np.random.default_rng(21)
+        data = {"A": rng.standard_normal((30, 3)), "b": rng.standard_normal(30)}
+        data[where].flat[4] = value
+        with pytest.raises(ValueError, match="finite"):
+            preconditioned_lsqr(data["A"], data["b"])
 
     def test_zero_gradient_returns_origin(self):
         # b orthogonal to range(A): A^T b = 0, so x = 0 is exact at once
