@@ -26,7 +26,9 @@ RANK_REL_TOL = 1e-12
 # bytes of one working block, the one budget of the TSQR of [A b], the LSQR
 # pass over A and the ros transform: it fits a per-core L2 cache and makes
 # numpy's per-call cost negligible. The TSQR's two halves fold half a budget
-# each; an LSQR step forms A z and A^T u on one block while it is in cache.
+# each; an LSQR pass forms A z and A^T u on one block while it is in cache,
+# half of the blocks on each of two threads, in blocks of at least 512 rows
+# (solvers._PASS_ROWS).
 _BLOCK_BYTES = 1 << 20
 
 

@@ -17,7 +17,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, svdvals
 from scipy.linalg.lapack import dpocon
 
-from .core import _BLOCK_BYTES, RANK_REL_TOL, LSProblem, _as_matrix, _as_vector, _norm, solve_ols
+from .core import (
+    _BLOCK_BYTES,
+    RANK_REL_TOL,
+    LSProblem,
+    _as_matrix,
+    _as_vector,
+    _halves,
+    _norm,
+    solve_ols,
+)
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
 from .sketch import SketchOperator
 
@@ -162,8 +171,9 @@ def default_mu(sp: SketchedProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
-def blendenpik_preconditioner(P) -> np.ndarray:
-    """Upper-triangular R from a QR factorization of the sketched matrix."""
+def _r_factor(P) -> tuple[np.ndarray, float]:
+    """:func:`blendenpik_preconditioner`'s R and ``||R||_2``, the largest
+    singular value that its rank gate reads anyway."""
     P = _as_matrix(P)
     if P.shape[0] < P.shape[1]:
         raise DimensionError("preconditioner needs m >= N")
@@ -171,23 +181,44 @@ def blendenpik_preconditioner(P) -> np.ndarray:
     svals = svdvals(R, check_finite=False)
     if svals[-1] <= RANK_REL_TOL * svals[0]:
         raise SingularMatrixError("sketched matrix produced a singular R factor")
-    return R
+    return R, float(svals[0])
+
+
+def blendenpik_preconditioner(P) -> np.ndarray:
+    """Upper-triangular R from a QR factorization of the sketched matrix."""
+    return _r_factor(P)[0]
+
+
+# fewest rows of an LSQR pass block: numpy's matmul releases the GIL only
+# above a loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two
+# halves of a pass over smaller blocks would take turns instead of overlapping
+_PASS_ROWS = 512
 
 
 def _pass_over_a(A, z, alpha, u) -> np.ndarray:
     """``u <- A z - alpha u`` in place, and returns ``A^T u`` of the updated u,
-    reading A once: both products are formed in row blocks of about
-    ``_BLOCK_BYTES``, the second while the block is still in cache. The
-    blocks go to BLAS through ``np.matmul``, which takes a C- or F-ordered
-    or row-strided block without copying it."""
-    step = max(1, _BLOCK_BYTES // (8 * A.shape[1]))
-    u *= -alpha
-    g = np.zeros(A.shape[1])
-    for lo in range(0, A.shape[0], step):
-        A_k, u_k = A[lo : lo + step], u[lo : lo + step]
-        u_k += A_k @ z
-        g += u_k @ A_k
-    return g
+    reading A once. A is cut into row blocks of about ``_BLOCK_BYTES`` and at
+    least ``_PASS_ROWS`` rows; on each block both products are formed, the
+    second while the block is still in cache. ``_halves`` runs the first half
+    of the blocks in its worker and the rest in the caller: each half updates
+    its own rows of u and sums its share of ``A^T u`` into its own N-vector,
+    and the two are added at the end. The split is fixed, so equal inputs
+    give bit-identical results, and u is bit-identical to one thread's loop
+    over the same blocks. The blocks go to BLAS through ``np.matmul``, which
+    takes a C- or F-ordered or row-strided block without copying it."""
+    step = max(_PASS_ROWS, _BLOCK_BYTES // (8 * A.shape[1]))
+
+    def work(starts):
+        g = np.zeros(A.shape[1])
+        for lo in starts:
+            A_k, u_k = A[lo : lo + step], u[lo : lo + step]
+            u_k *= -alpha
+            u_k += A_k @ z
+            g += u_k @ A_k
+        return g
+
+    first, last = _halves(work, range(0, A.shape[0], step))
+    return first + last
 
 
 def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
@@ -200,8 +231,9 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     ``A^T r = R^T (A R^{-1})^T r``, the true gradient is at most ``||R||_2``
     times that (``||R||_2`` is taken once per call; 1 when R is None). While
     this bound is above the tolerance no iterate is formed, so an iteration
-    costs one pass over A, in row blocks: ``A z - alpha u`` and A^T of the
-    result are formed block by block.
+    costs one pass over A (:func:`_pass_over_a`): ``A z - alpha u`` and A^T
+    of the result are formed block by block, half of the blocks on a second
+    thread.
 
     Once the bound passes (always on an exact breakdown, where it is 0), x is
     formed and the true gradient is checked once; converged is True only if
@@ -216,6 +248,12 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
     with that value, and x = 0 counts with ``||A^T b||``. Norms use BLAS
     ``nrm2``, which does not overflow on data scaled by 1e+-150.
     """
+    norm_R = 1.0 if R is None else float(svdvals(R, check_finite=False)[0])
+    return _lsqr(A, b, R, norm_R, tol, max_iter)
+
+
+def _lsqr(A, b, R, norm_R, tol, max_iter):
+    """:func:`preconditioned_lsqr` with ``||R||_2`` given as ``norm_R``."""
     A = _as_matrix(A)
     b = _as_vector(b, length=A.shape[0], name="b")
     if not 0.0 < tol < math.inf:
@@ -223,11 +261,9 @@ def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
 
     if R is None:
         solve_R = solve_Rt = lambda z: z
-        norm_R = 1.0
     else:
         solve_R = lambda z: solve_triangular(R, z)
         solve_Rt = lambda z: solve_triangular(R, z, trans="T")
-        norm_R = float(np.linalg.norm(R, 2))
 
     x = np.zeros(A.shape[1])  # the last iterate whose true gradient was checked
     r, g = b, A.T @ b  # its residual b - A x and gradient A^T r
@@ -291,14 +327,15 @@ def solve_blendenpik(
     max_iter: int = 500,
 ) -> np.ndarray:
     """Uncompressed solve via LSQR, right-preconditioned by R from QR(Phi A)."""
-    R = blendenpik_preconditioner(op.apply(problem.A))
-    return _converged_lsqr(problem.A, problem.b, R, lsqr_tol, max_iter)
+    R, norm_R = _r_factor(op.apply(problem.A))
+    return _converged_lsqr(problem.A, problem.b, R, norm_R, lsqr_tol, max_iter)
 
 
-def _converged_lsqr(A, b, R, tol, max_iter=500):
-    """:func:`preconditioned_lsqr` that raises :class:`ConvergenceError`,
-    carrying the best iterate, instead of returning an unconverged x."""
-    x, iters, converged = preconditioned_lsqr(A, b, R=R, tol=tol, max_iter=max_iter)
+def _converged_lsqr(A, b, R, norm_R, tol, max_iter=500):
+    """:func:`preconditioned_lsqr`, given ``norm_R = ||R||_2``, that raises
+    :class:`ConvergenceError`, carrying the best iterate, instead of
+    returning an unconverged x."""
+    x, iters, converged = _lsqr(A, b, R, norm_R, tol, max_iter)
     if not converged:
         raise ConvergenceError(
             f"LSQR did not reach tolerance {tol:g} in {max_iter} iterations",

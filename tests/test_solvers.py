@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -32,7 +33,7 @@ from sketchls import (
     solve_robust_cls,
     solve_rpc_sketched,
 )
-from sketchls import solvers
+from sketchls import core, solvers
 from sketchls.solvers import GramSolver, _pass_over_a
 
 
@@ -424,17 +425,65 @@ class TestBlendenpik:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("rows", [1, 3, 7], ids=["1-row", "3-row", "7-row"])
     def test_one_pass_matches_two_products(self, monkeypatch, layout, rows):
-        # 50 rows: 3- and 7-row blocks leave a short last block of 2 and 1
+        """50 rows in 50, 17 and 8 blocks (3- and 7-row blocks leave a short
+        last block of 2 and 1), split two ways: u is byte-equal to one
+        thread's loop over the same blocks, and A^T u, summed in two halves,
+        agrees with that loop's to rounding; both match the two products."""
         rng = np.random.default_rng(45)
         A = layouts(rng.standard_normal((50, 6)))[layout]
         z, u0, alpha = rng.standard_normal(6), rng.standard_normal(50), 0.7
         want_u = A @ z - alpha * u0
         want_g = A.T @ want_u
+        loop_u, loop_g = u0 * -alpha, np.zeros(6)
+        for lo in range(0, 50, rows):
+            loop_u[lo : lo + rows] += A[lo : lo + rows] @ z
+            loop_g += loop_u[lo : lo + rows] @ A[lo : lo + rows]
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", rows * 8 * 6)
+        monkeypatch.setattr(solvers, "_PASS_ROWS", 1)
         u = u0.copy()
         g = _pass_over_a(A, z, alpha, u)
+        assert u.tobytes() == loop_u.tobytes()
+        assert np.linalg.norm(g - loop_g) <= 1e-13 * np.linalg.norm(loop_g)
         assert np.linalg.norm(u - want_u) <= 1e-13 * np.linalg.norm(want_u)
         assert np.linalg.norm(g - want_g) <= 1e-13 * np.linalg.norm(want_g)
+
+    def test_one_block_pass_starts_no_thread(self, monkeypatch):
+        # 300 x 8 is one block: the caller runs it and no worker starts
+        start, starts = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        rng = np.random.default_rng(50)
+        A, z, u = rng.standard_normal((300, 8)), rng.standard_normal(8), rng.standard_normal(300)
+        want_u = A @ z - 0.5 * u
+        g = _pass_over_a(A, z, 0.5, u)
+        assert starts == []
+        assert_allclose(u, want_u, rtol=1e-13)
+        assert_allclose(g, A.T @ want_u, rtol=1e-12)
+
+    def test_pass_blocks_have_at_least_512_rows(self, monkeypatch):
+        """At N = 400 a 1 MiB block holds 327 rows; numpy's matmul would keep
+        the GIL on it, so the pass takes 512-row blocks, split two ways."""
+        seen = []
+
+        def halves(work, items):
+            seen.append(items)
+            return core._halves(work, items)
+
+        monkeypatch.setattr(solvers, "_halves", halves)
+        rng = np.random.default_rng(51)
+        A, z, u = rng.standard_normal((4096, 400)), rng.standard_normal(400), np.zeros(4096)
+        _pass_over_a(A, z, 1.0, u)
+        assert [s.step for s in seen] == [512] and len(seen[0]) == 8
+
+    def test_repeated_solves_are_bit_identical(self):
+        problem, _ = planted_problem(np.random.default_rng(52), 20_000, 30, condition=1e4)
+        op = make_sketch(SketchSpec(kind="count", m=120, M=20_000, seed=53))
+        R = blendenpik_preconditioner(op.apply(problem.A))
+        (x1, it1, c1), (x2, it2, c2) = (
+            preconditioned_lsqr(problem.A, problem.b, R=R, tol=1e-10) for _ in range(2)
+        )
+        assert c1 and c2 and it1 == it2
+        assert x1.tobytes() == x2.tobytes()
+        assert solve_blendenpik(problem, op, lsqr_tol=1e-10).tobytes() == x1.tobytes()
 
     def test_layouts_give_the_same_solve(self, monkeypatch):
         """C, F and row-strided A, read-only like b, in 64-row blocks: the
@@ -447,6 +496,7 @@ class TestBlendenpik:
         b = problem.b.copy()
         b.flags.writeable = False
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", 64 * 8 * 12)
+        monkeypatch.setattr(solvers, "_PASS_ROWS", 1)
         runs = {
             name: preconditioned_lsqr(A, b, R=R, tol=1e-10)
             for name, A in layouts(problem.A).items()
