@@ -23,13 +23,17 @@ from .exceptions import (
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
 
-# bytes of one working block, the one budget of the TSQR of [A b], the LSQR
-# pass over A and the ros transform: it fits a per-core L2 cache and makes
-# numpy's per-call cost negligible. The TSQR's two halves fold half a budget
-# each; an LSQR pass forms A z and A^T u on one block while it is in cache,
-# half of the blocks on each of two threads, in blocks of at least 512 rows
-# (solvers._PASS_ROWS).
+# bytes of one working block, the one budget of the TSQR of [A b], the two
+# passes over A's row blocks (LSQR's and a count sketch's) and the ros
+# transform: it fits a per-core L2 cache and makes numpy's per-call cost
+# negligible. The TSQR's and the count pass's two halves take half a budget
+# each, as both may copy a block.
 _BLOCK_BYTES = 1 << 20
+
+# fewest rows of a pass block: numpy's matmul releases the GIL only above a
+# loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves of a
+# pass over smaller blocks would take turns instead of overlapping
+_PASS_ROWS = 512
 
 
 def _as_matrix(A) -> np.ndarray:

@@ -237,11 +237,9 @@ def solve_rpc_sketched(
 def solve_rpc(
     problem: LSProblem, op: SketchOperator, params: RpcParams | None = None
 ) -> RpcSolution:
-    """Sketch A with ``op`` (rpc never reads q = Phi b) and run :func:`solve_rpc_sketched`."""
-    P = op.apply(problem.A)
-    sp = SketchedProblem(P=P, q=np.zeros(P.shape[0]), c=problem.A.T @ problem.b)
-    # b_norm is not read by the solve
-    return solve_rpc_sketched(sp, 0.0, params)
+    """Sketch the problem with ``op`` (:meth:`SketchedProblem.from_problem`)
+    and run :func:`solve_rpc_sketched`, which reads neither q nor b_norm."""
+    return solve_rpc_sketched(SketchedProblem.from_problem(problem, op), 0.0, params)
 
 
 def robust_cls_objective(P, q, x, rho: float) -> float:

@@ -14,7 +14,8 @@ Three families are provided:
   butterfly on the padded length; the pass and the trees each split their
   work between the caller and one worker thread;
 * ``count`` -- count sketch, one random +/-1 entry per column, held as a
-  sparse CSC matrix and applied in O(nnz).
+  sparse CSC matrix and applied in O(nnz), in one pass over the input's
+  row blocks on two threads (Clarkson & Woodruff 2013).
 
 Randomness is drawn from a counter-based Philox generator keyed by
 ``(seed, kind)``; ``ros`` and ``count`` realize theirs at construction and
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse._sparsetools import csc_matvecs
 
-from .core import _BLOCK_BYTES, _halves
+from .core import _BLOCK_BYTES, _PASS_ROWS, _halves
 from .exceptions import DimensionError
 
 KINDS = ("gaussian", "ros", "count")  # index = generator stream, so only append
@@ -179,11 +181,13 @@ class SketchOperator:
     ``gaussian`` and ``ros`` keep ``matrix = None`` and apply Phi without
     holding it, so an apply's memory follows from (m, M, N). ``count`` and
     ``identity_sketch`` hold it in CSC form, one entry per column, so
-    building it sorts nothing and applying it reads X row by row in order,
-    adding each row into the small m-row output. CSR gathers the rows of X
-    in random order instead, at a speed that moves with where X's pages land
-    in memory. Each output row sums its terms in the same order either way,
-    so the result is bit-identical.
+    building it sorts nothing and Phi's block on input rows lo:hi is a slice
+    of its arrays. ``_scatter`` adds the blocks with scipy's private
+    ``csc_matvecs``, which adds into an existing output and releases the
+    GIL (README gives the cost of the public routes). Beyond its m x w
+    outputs an apply needs an m x w partial (M x w for ``identity_sketch``)
+    and, for an input that is not C-contiguous, half a block budget of
+    scratch per half.
     """
 
     def __init__(self, spec: SketchSpec | None, matrix):
@@ -204,7 +208,48 @@ class SketchOperator:
     def apply_each(self, *Xs) -> tuple:
         """Phi X for each X, each bit for bit as if applied alone; ``gaussian``
         draws Phi once for all and ``ros`` transforms them in one pass."""
-        return tuple(self.matrix @ self._check_rows(X, self.matrix.shape[1]) for X in Xs)
+        return tuple(self._scatter(self._check_rows(X, self.matrix.shape[1]))[0] for X in Xs)
+
+    def _sketch_problem(self, A, b) -> tuple:
+        """``(Phi A, Phi b, A^T b)`` for ``SketchedProblem.from_problem``."""
+        if self.matrix is None:
+            return (*self.apply_each(A, b), A.T @ b)
+        return self._scatter(self._check_rows(A, self.matrix.shape[1]), b)
+
+    def _scatter(self, X, b=None) -> tuple:
+        """``(Phi X,)``, or ``(Phi X, Phi b, X^T b)`` given b, in one pass over
+        X's row blocks (half a budget, at least ``_PASS_ROWS`` rows) split by
+        ``_halves``: each half adds its blocks in order, and ``b_k @ X_k``,
+        into outputs of its own, and the worker's are added to the caller's.
+        The split depends on X's shape alone, and a block that is not
+        C-contiguous is copied first, so neither b nor X's layout moves a bit."""
+        (m, M), w = self.matrix.shape, math.prod(X.shape[1:])
+        step = max(_PASS_ROWS, _BLOCK_BYTES // (16 * max(w, 1)))
+        ptr = np.arange(step + 1, dtype=self.matrix.indices.dtype)
+
+        def work(starts):
+            if not starts:
+                return ()
+            outs = [np.zeros((m,) + X.shape[1:])]
+            outs += [] if b is None else [np.zeros(m), np.zeros(w)]
+            scratch = None if X.flags.c_contiguous else np.empty(step * w)
+            for lo in starts:
+                X_k = X[lo : lo + step]
+                if not X_k.flags.c_contiguous:
+                    X_k = scratch[: X_k.size].reshape(X_k.shape)
+                    X_k[...] = X[lo : lo + step]
+                n = len(X_k)
+                phi_k = (ptr, self.matrix.indices[lo : lo + n], self.matrix.data[lo : lo + n])
+                csc_matvecs(m, n, w, *phi_k, X_k, outs[0])
+                if b is not None:
+                    csc_matvecs(m, n, 1, *phi_k, b[lo : lo + n], outs[1])
+                    outs[2] += b[lo : lo + n] @ X_k
+            return outs
+
+        first, last = _halves(work, range(0, M, step))
+        for out, part in zip(last, first):
+            out += part
+        return tuple(last)
 
     def materialize(self) -> np.ndarray:
         """Dense m x M matrix of the operator (testing / small sizes only)."""

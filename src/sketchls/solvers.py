@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dpocon
 
 from .core import (
     _BLOCK_BYTES,
+    _PASS_ROWS,
     RANK_REL_TOL,
     LSProblem,
     _as_matrix,
@@ -52,8 +53,11 @@ class SketchedProblem:
 
     @classmethod
     def from_problem(cls, problem: LSProblem, op: SketchOperator) -> "SketchedProblem":
-        P, q = op.apply_each(problem.A, problem.b)
-        return cls(P=P, q=q, c=problem.A.T @ problem.b)
+        """Sketch ``problem`` with ``op``: one pass over A's row blocks for a
+        count sketch, c the sum of ``b_k @ A_k``; for ``gaussian`` and ``ros``
+        ``op.apply_each(A, b)`` and ``c = A.T @ b``."""
+        P, q, c = op._sketch_problem(problem.A, problem.b)
+        return cls(P=P, q=q, c=c)
 
     @property
     def m(self) -> int:
@@ -187,12 +191,6 @@ def _r_factor(P) -> tuple[np.ndarray, float]:
 def blendenpik_preconditioner(P) -> np.ndarray:
     """Upper-triangular R from a QR factorization of the sketched matrix."""
     return _r_factor(P)[0]
-
-
-# fewest rows of an LSQR pass block: numpy's matmul releases the GIL only
-# above a loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two
-# halves of a pass over smaller blocks would take turns instead of overlapping
-_PASS_ROWS = 512
 
 
 def _pass_over_a(A, z, alpha, u) -> np.ndarray:

@@ -10,6 +10,8 @@ from scipy.linalg import hadamard
 
 from sketchls import (
     DimensionError,
+    LSProblem,
+    SketchedProblem,
     SketchSpec,
     fwht,
     identity_sketch,
@@ -30,6 +32,14 @@ def count_thread_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     return starts
+
+
+def scatter_add(op, X, lo, hi):
+    """Phi X over rows lo:hi of X as an in-order scatter-add of its signed rows."""
+    out = np.zeros((op.matrix.shape[0],) + X.shape[1:])
+    signs = op.matrix.data[lo:hi].reshape((-1,) + (1,) * (X.ndim - 1))
+    np.add.at(out, op.matrix.indices[lo:hi], signs * X[lo:hi])
+    return out
 
 
 def butterfly_reference(X):
@@ -155,6 +165,50 @@ class TestApply:
             expected = np.zeros((m,) + X.shape[1:])
             np.add.at(expected, rows, signs.reshape((M,) + (1,) * (X.ndim - 1)) * X)
             assert op.apply(X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", [4097, 5097])
+    def test_count_apply_is_a_two_half_scatter_add(self, monkeypatch, M):
+        # a 16-row budget gives 512-row blocks (the _PASS_ROWS floor), 9 or
+        # 10 of them; the worker takes the first 4 or 5, and each half is an
+        # in-order scatter-add, P their sum. q rides on A's blocks.
+        monkeypatch.setattr(sketch, "_BLOCK_BYTES", 16 * 8 * 64)
+        rng = np.random.default_rng(M)
+        A, b = rng.standard_normal((M, 64)), rng.standard_normal(M)
+        op = make_sketch(SketchSpec(kind="count", m=200, M=M, seed=3))
+        split = -(-M // 512) // 2 * 512
+        sp = SketchedProblem.from_problem(LSProblem(A=A, b=b), op)
+        for X, out in ((A, sp.P), (b, sp.q)):
+            expected = scatter_add(op, X, split, M) + scatter_add(op, X, 0, split)
+            assert out.tobytes() == expected.tobytes()
+        assert op.apply(A).tobytes() == sp.P.tobytes()
+
+    def test_count_apply_starts_one_worker_and_leaves_none(self, monkeypatch):
+        # at 64 columns 3,000 rows are three 1,024-row blocks; a vector of
+        # them is one block, and so is any input of under 512 rows
+        op = make_sketch(SketchSpec(kind="count", m=50, M=3000, seed=1))
+        X = np.ones((3000, 64))
+        problem = LSProblem(A=np.eye(3000, 64) + X, b=np.ones(3000))
+        starts = count_thread_starts(monkeypatch)
+        op.apply(np.ones(3000))
+        make_sketch(SketchSpec(kind="count", m=50, M=500, seed=1)).apply(np.ones((500, 64)))
+        assert starts == []
+        op.apply(X)
+        assert len(starts) == 1
+        SketchedProblem.from_problem(problem, op)
+        assert len(starts) == 2
+
+        before = threading.active_count()
+        caller, matvecs = threading.current_thread(), sketch.csc_matvecs
+
+        def fail_in_worker(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("stop in the worker's half")
+            matvecs(*args)
+
+        monkeypatch.setattr(sketch, "csc_matvecs", fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker's half"):
+            op.apply(X)
+        assert threading.active_count() == before
 
     def test_identity_helper(self):
         op = identity_sketch(5)

@@ -33,7 +33,7 @@ from sketchls import (
     solve_robust_cls,
     solve_rpc_sketched,
 )
-from sketchls import core, solvers
+from sketchls import core, sketch, solvers
 from sketchls.solvers import GramSolver, _pass_over_a
 
 
@@ -165,6 +165,61 @@ def test_sketched_solvers_refuse_nonfinite_data(solve, bad, value):
     data[bad].flat[1] = value
     with pytest.raises(ValueError, match="sketched data must be finite"):
         solve(SketchedProblem(**data))
+
+
+class TestCountFromProblem:
+    """A count sketch's P = Phi A, q = Phi b and c = A^T b from one pass over
+    A's row blocks, made many by a budget of 16 rows of 64 columns: 512-row
+    blocks, the _PASS_ROWS floor, and 4,097 rows in 9 of them."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sketch, "_BLOCK_BYTES", 16 * 8 * 64)
+
+    def problem_and_op(self, seed, M=4097, N=64):
+        rng = np.random.default_rng(seed)
+        problem = LSProblem(A=rng.standard_normal((M, N)), b=rng.standard_normal(M))
+        return problem, make_sketch(SketchSpec(kind="count", m=200, M=M, seed=seed))
+
+    def test_layouts_give_the_same_bits(self):
+        """C, F and row-strided A give byte-equal P, q and c, and P is
+        byte-equal to apply(A) and apply_each(A, b)[0]."""
+        problem, op = self.problem_and_op(60)
+        want = SketchedProblem.from_problem(problem, op)
+        for A in layouts(problem.A).values():
+            sp = SketchedProblem.from_problem(LSProblem(A=A, b=problem.b), op)
+            for got, expected in ((sp.P, want.P), (sp.q, want.q), (sp.c, want.c)):
+                assert got.tobytes() == expected.tobytes()
+            assert op.apply(A).tobytes() == want.P.tobytes()
+            assert op.apply_each(A, problem.b)[0].tobytes() == want.P.tobytes()
+
+    def test_c_is_atb_and_repeatable(self):
+        problem, op = self.problem_and_op(61)
+        first, again = (SketchedProblem.from_problem(problem, op) for _ in range(2))
+        want = problem.A.T @ problem.b
+        assert np.linalg.norm(first.c - want) <= 1e-14 * np.linalg.norm(want)
+        for name in ("P", "q", "c"):
+            assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_count_from_problem_copies_no_half_of_a(order):
+    """At the real budget 2^14 x 64 is sixteen 1,024-row blocks of 0.5 MiB:
+    the outputs, the worker's m x N partial and, for F order, one block copy
+    per half stay under 0.2 of A; a copy of half of A would be 0.5."""
+    M, N = 2**14, 64
+    rng = np.random.default_rng(62)
+    problem = LSProblem(
+        A=np.asarray(rng.standard_normal((M, N)), order=order), b=rng.standard_normal(M)
+    )
+    op = make_sketch(SketchSpec(kind="count", m=4 * N, M=M, seed=63))
+    tracemalloc.start()
+    try:
+        SketchedProblem.from_problem(problem, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * M * N * 8
 
 
 class TestRidge:
