@@ -77,9 +77,19 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     b_policy = "file" if args.b_file else "last"
     problem = harness.load_csv(args.data, b_policy=b_policy, b_path=args.b_file)
-    x_ls = solve_ols(problem, "factorized")
     m = args.m if args.m is not None else min(10 * problem.N, problem.M)
-    x, timings = harness._run_pipeline(problem, args, args.method, args.sketch, m, args.seed)
+    try:
+        mu = float(args.mu)
+    except ValueError:
+        mu = args.mu  # "auto", or text the config refuses by name
+    # every flag is checked here, before a sketch is drawn
+    config = harness.ExperimentConfig(
+        sketch_kinds=(args.sketch,), m_values=(m,), methods=(args.method,), seed=args.seed,
+        rho=args.rho, mu=mu, lsqr_tol=args.lsqr_tol,
+    )
+    config.validate_grid(problem)
+    x_ls = solve_ols(problem, "factorized")
+    x, timings = harness._run_pipeline(problem, config, args.method, args.sketch, m, args.seed)
     report = make_report(problem, x_ls, x, args.method, timings)
     text = json.dumps(report.to_dict(), indent=2)
     print(text)

@@ -16,7 +16,7 @@ import os
 import time
 import warnings
 from collections.abc import Iterable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky
@@ -59,13 +59,12 @@ def _partial_rhs(problem, sp, opts, gram):
 
 
 def _rpc(problem, sp, opts, _):
-    # b_norm is not read by the solve
-    return solve_rpc_sketched(sp, 0.0, RpcParams(rho=opts.rho)).x
+    return solve_rpc_sketched(sp, params=RpcParams(rho=opts.rho)).x
 
 
 # Every method in run order, as (needs a sketch, factor step, solve step).
-# A step gets the problem, its SketchedProblem (None when unsketched) and an
-# options object with ``rho``, ``mu`` and ``lsqr_tol``; the solve step also
+# A step gets the problem, its SketchedProblem (None when unsketched) and the
+# ExperimentConfig, for ``rho``, ``mu`` and ``lsqr_tol``; the solve step also
 # gets what the factor step returned and returns x.
 _METHOD_TABLE = {
     "ols": (False, None, lambda p, sp, o, _: solve_ols(p, "factorized")),
@@ -321,7 +320,7 @@ class ProblemSource:
             raise ValueError("a csv source needs a path")
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSource":
@@ -364,6 +363,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.timing_repeats < 1:
             raise ValueError("timing_repeats must be at least 1")
         if not 0.0 <= self.rho < math.inf:
@@ -379,12 +380,7 @@ class ExperimentConfig:
                 raise ValueError(f"sketch size m={m} outside [N={problem.N}, M={problem.M}]")
 
     def to_dict(self) -> dict:
-        data = {k: v for k, v in self.__dict__.items()}
-        data["source"] = self.source.to_dict()
-        data["sketch_kinds"] = list(self.sketch_kinds)
-        data["m_values"] = list(self.m_values)
-        data["methods"] = list(self.methods)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -409,6 +405,20 @@ class TrialRecord:
     eps_optimality: float | None
     timings: dict
     error: str | None = None
+
+    def __post_init__(self):
+        _check_types(self, str, "a string", "config_hash", "method", "sketch")
+        _check_types(self, (str, type(None)), "a string or null", "error")
+        _check_types(self, numbers.Integral, "an integer", "m", "trial", "seed")
+        if self.error is None:
+            _check_types(self, numbers.Real, "a number", "relative_accuracy", "eps_optimality")
+        else:
+            _check_types(self, (numbers.Real, type(None)), "a number or null",
+                         "relative_accuracy", "eps_optimality")
+        if _wrong_type(self.timings, dict) or any(
+            _wrong_type(k, str) or _wrong_type(v, numbers.Real) for k, v in self.timings.items()
+        ):
+            raise ValueError(f"timings must map phase names to numbers, not {self.timings!r}")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__)
@@ -463,7 +473,7 @@ def _cell_seed(root_seed, kind, m, trial) -> int:
 def _run_pipeline(problem, opts, method, kind, m, sketch_seed):
     """Run ``method``'s table steps on one cell; returns (x, phase timings).
 
-    ``opts`` is an :class:`ExperimentConfig` or the CLI's parsed arguments.
+    ``opts`` is an :class:`ExperimentConfig`.
     The ``sketch`` phase realizes Phi and forms the SketchedProblem,
     ``A^T b`` included.
     """

@@ -139,7 +139,7 @@ def _pow2(v: float) -> float:
 
 
 def solve_rpc_sketched(
-    sp: SketchedProblem, b_norm: float, params: RpcParams | None = None
+    sp: SketchedProblem, b_norm: float | None = None, params: RpcParams | None = None
 ) -> RpcSolution:
     """Robust partially-compressed solver operating directly on sketched data.
 
@@ -147,7 +147,7 @@ def solve_rpc_sketched(
     raises :class:`ConvergenceError`, with gamma = 1/s and the normalization
     gap in ``diagnostics``, when that solve fails or its gap exceeds
     1e-10. ``b_norm``, the norm of the uncompressed right-hand
-    side, is accepted for compatibility and no longer read.
+    side, is accepted for compatibility and never read.
     """
     params = params or RpcParams()
     rho = params.rho
@@ -238,8 +238,8 @@ def solve_rpc(
     problem: LSProblem, op: SketchOperator, params: RpcParams | None = None
 ) -> RpcSolution:
     """Sketch the problem with ``op`` (:meth:`SketchedProblem.from_problem`)
-    and run :func:`solve_rpc_sketched`, which reads neither q nor b_norm."""
-    return solve_rpc_sketched(SketchedProblem.from_problem(problem, op), 0.0, params)
+    and run :func:`solve_rpc_sketched`, which never reads q."""
+    return solve_rpc_sketched(SketchedProblem.from_problem(problem, op), params=params)
 
 
 def robust_cls_objective(P, q, x, rho: float) -> float:
@@ -272,8 +272,7 @@ def solve_robust_cls(sp: SketchedProblem, rho: float) -> np.ndarray:
     params = RpcParams(rho=rho / scale)
     c = np.zeros(N + 1)
     c[N] = -1.0
-    # b_norm is not read by the solve
-    x = solve_rpc_sketched(SketchedProblem(P=aug, q=np.zeros(m + 1), c=c), 0.0, params).x
+    x = solve_rpc_sketched(SketchedProblem(P=aug, q=np.zeros(m + 1), c=c), params=params).x
     return x[:N] / -x[N]
 
 

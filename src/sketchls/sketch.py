@@ -176,16 +176,18 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 class SketchOperator:
     """A realized compression matrix Phi, applied as a linear map, forward
-    only: the estimators need Phi A and Phi b, never Phi^T.
+    only: the estimators need Phi A and Phi b, never Phi^T. Each kind
+    implements one pass, ``_pass(X, b=None)``: ``(Phi X,)``, or
+    ``(Phi X, Phi b, X^T b)`` given b, Phi X bit-identical either way.
 
     ``gaussian`` and ``ros`` keep ``matrix = None`` and apply Phi without
     holding it, so an apply's memory follows from (m, M, N). ``count`` and
     ``identity_sketch`` hold it in CSC form, one entry per column, so
     building it sorts nothing and Phi's block on input rows lo:hi is a slice
-    of its arrays. ``_scatter`` adds the blocks with scipy's private
+    of its arrays. Their pass adds the blocks with scipy's private
     ``csc_matvecs``, which adds into an existing output and releases the
     GIL (README gives the cost of the public routes). Beyond its m x w
-    outputs an apply needs an m x w partial (M x w for ``identity_sketch``)
+    outputs it needs an m x w partial (M x w for ``identity_sketch``)
     and, for an input that is not C-contiguous, half a block budget of
     scratch per half.
     """
@@ -193,37 +195,28 @@ class SketchOperator:
     def __init__(self, spec: SketchSpec | None, matrix):
         self.spec = spec  # None when no spec realizes this operator
         self.matrix = matrix
+        self.M = matrix.shape[1] if spec is None else spec.M  # input rows
 
-    def _check_rows(self, X, rows):
+    def _check_rows(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2):
             raise DimensionError("input must be a vector or matrix")
-        if X.shape[0] != rows:
-            raise DimensionError(f"input has {X.shape[0]} rows, operator expects {rows}")
+        if X.shape[0] != self.M:
+            raise DimensionError(f"input has {X.shape[0]} rows, operator expects {self.M}")
         return X
 
     def apply(self, X):
-        return self.apply_each(X)[0]
+        return self._pass(X)[0]
 
-    def apply_each(self, *Xs) -> tuple:
-        """Phi X for each X, each bit for bit as if applied alone; ``gaussian``
-        draws Phi once for all and ``ros`` transforms them in one pass."""
-        return tuple(self._scatter(self._check_rows(X, self.matrix.shape[1]))[0] for X in Xs)
-
-    def _sketch_problem(self, A, b) -> tuple:
-        """``(Phi A, Phi b, A^T b)`` for ``SketchedProblem.from_problem``."""
-        if self.matrix is None:
-            return (*self.apply_each(A, b), A.T @ b)
-        return self._scatter(self._check_rows(A, self.matrix.shape[1]), b)
-
-    def _scatter(self, X, b=None) -> tuple:
-        """``(Phi X,)``, or ``(Phi X, Phi b, X^T b)`` given b, in one pass over
-        X's row blocks (half a budget, at least ``_PASS_ROWS`` rows) split by
-        ``_halves``: each half adds its blocks in order, and ``b_k @ X_k``,
-        into outputs of its own, and the worker's are added to the caller's.
-        The split depends on X's shape alone, and a block that is not
-        C-contiguous is copied first, so neither b nor X's layout moves a bit."""
-        (m, M), w = self.matrix.shape, math.prod(X.shape[1:])
+    def _pass(self, X, b=None) -> tuple:
+        """One pass over X's row blocks (half a budget, at least
+        ``_PASS_ROWS`` rows) split by ``_halves``: each half adds its blocks
+        in order, and ``b_k @ X_k``, into outputs of its own, and the
+        worker's are added to the caller's. The split depends on X's shape
+        alone, and a block that is not C-contiguous is copied first, so
+        neither b nor X's layout moves a bit."""
+        X = self._check_rows(X)
+        m, w = self.matrix.shape[0], math.prod(X.shape[1:])
         step = max(_PASS_ROWS, _BLOCK_BYTES // (16 * max(w, 1)))
         ptr = np.arange(step + 1, dtype=self.matrix.indices.dtype)
 
@@ -246,14 +239,14 @@ class SketchOperator:
                     outs[2] += b[lo : lo + n] @ X_k
             return outs
 
-        first, last = _halves(work, range(0, M, step))
+        first, last = _halves(work, range(0, self.M, step))
         for out, part in zip(last, first):
             out += part
         return tuple(last)
 
     def materialize(self) -> np.ndarray:
         """Dense m x M matrix of the operator (testing / small sizes only)."""
-        return self.apply(np.eye(self.spec.M if self.matrix is None else self.matrix.shape[1]))
+        return self.apply(np.eye(self.M))
 
 
 class RosSketch(SketchOperator):
@@ -265,14 +258,14 @@ class RosSketch(SketchOperator):
     Phi is never formed, nor is the padding beyond the last block.
 
     With blocks of H rows (``_ros_blocks``), H_n = (H_{n/H} (x) I_H)
-    (I_{n/H} (x) H_H). ``apply_each`` flips the signs of all its inputs into
-    the columns of one M-row array whose last block alone is zero-padded, to
+    (I_{n/H} (x) H_H). ``_pass`` flips the signs of X and b into the
+    columns of one M-row array whose last block alone is zero-padded, to
     a power of two, and transforms each block (``_signed_blocks``). Kept row
     r = J H + k is then row J of H_{n/H} over the rows k of the blocks: a
     tree that adds or subtracts pairs of them, one level per bit of J, where
     a node with no partner meets a zero block. These are the butterflies of
     the plain stage-by-stage transform on the padded length that reach row
-    r, so each output is bit-identical to it, whatever the other inputs.
+    r, so Phi X and Phi b are each bit-identical to it, with or without b.
 
     It needs that array, under half a block of zero rows, scratch within
     the block budget, its output and a copy of each input's columns of it.
@@ -283,12 +276,13 @@ class RosSketch(SketchOperator):
         self.signs = signs  # +/-1 per input coordinate, length M
         self.rows = rows  # sampled transform rows, length m, drawn from n
 
-    def apply_each(self, *Xs) -> tuple:
-        Xs = [self._check_rows(X, self.spec.M) for X in Xs]
-        widths = [1 if X.ndim == 1 else X.shape[1] for X in Xs]
+    def _pass(self, X, b=None) -> tuple:
+        X = self._check_rows(X)
+        Xs = [X] if b is None else [X, b]
+        widths = [1 if Y.ndim == 1 else Y.shape[1] for Y in Xs]
         m, w = self.spec.m, sum(widths)
-        H, blocks, last = _ros_blocks(m, self.spec.M, w)
-        signed = _signed_blocks(self.signs, [X.reshape(len(X), k) for X, k in zip(Xs, widths)], H)
+        H, blocks, last = _ros_blocks(m, self.M, w)
+        signed = _signed_blocks(self.signs, [Y.reshape(len(Y), k) for Y, k in zip(Xs, widths)], H)
         # a chunk of `per` kept rows gathers blocks x w values per row; one
         # block's trees are a gather, which needs no worker within the budget
         per = _BLOCK_BYTES // 4 // max(1, 8 * blocks * w)
@@ -323,7 +317,8 @@ class RosSketch(SketchOperator):
         out = np.empty((m, w))
         _halves(tree, range(0, m, per))
         parts = np.split(out, np.cumsum(widths)[:-1], axis=1)
-        return tuple(np.ascontiguousarray(p).reshape((m,) + X.shape[1:]) for X, p in zip(Xs, parts))
+        outs = tuple(np.ascontiguousarray(p).reshape((m,) + Y.shape[1:]) for Y, p in zip(Xs, parts))
+        return outs if b is None else (*outs, X.T @ b)
 
 
 class GaussianSketch(SketchOperator):
@@ -356,16 +351,17 @@ class GaussianSketch(SketchOperator):
                     pending = pool.submit(draw, k + 1)
                 use(slice(bounds[k], bounds[k + 1]), block)
 
-    def apply_each(self, *Xs) -> tuple:
-        Xs = [self._check_rows(X, self.spec.M) for X in Xs]
-        outs = tuple(np.empty((self.spec.m,) + X.shape[1:]) for X in Xs)
+    def _pass(self, X, b=None) -> tuple:
+        X = self._check_rows(X)
+        Xs = [X] if b is None else [X, b]
+        outs = tuple(np.empty((self.spec.m,) + Y.shape[1:]) for Y in Xs)
 
         def use(rows, block):
-            for X, out in zip(Xs, outs):
-                np.matmul(block, X, out=out[rows])
+            for Y, out in zip(Xs, outs):
+                np.matmul(block, Y, out=out[rows])
 
         self._each_block(use)
-        return outs
+        return outs if b is None else (*outs, X.T @ b)
 
 
 def _count_matrix(m: int, rows: np.ndarray, signs: np.ndarray) -> sparse.csc_matrix:
@@ -398,7 +394,7 @@ def sketch_flops_estimate(spec: SketchSpec, N: int, nnz: int | None = None) -> f
     if spec.kind == "gaussian":
         return float(spec.m) * spec.M * N
     if spec.kind == "ros":
-        # what RosSketch.apply_each runs: every stage below H on each block
+        # what RosSketch._pass runs on X: every stage below H on each block
         # of H rows, the last block's on its `last` rows, and the blocks - 1
         # butterflies of each kept row's tree
         H, blocks, last = _ros_blocks(spec.m, spec.M, N)

@@ -53,10 +53,11 @@ class SketchedProblem:
 
     @classmethod
     def from_problem(cls, problem: LSProblem, op: SketchOperator) -> "SketchedProblem":
-        """Sketch ``problem`` with ``op``: one pass over A's row blocks for a
-        count sketch, c the sum of ``b_k @ A_k``; for ``gaussian`` and ``ros``
-        ``op.apply_each(A, b)`` and ``c = A.T @ b``."""
-        P, q, c = op._sketch_problem(problem.A, problem.b)
+        """Sketch ``problem`` with ``op``'s one pass, ``op._pass(A, b)``: a
+        count sketch reads A's row blocks once and sums c from ``b_k @ A_k``;
+        ``gaussian`` (over Phi's row blocks) and ``ros`` (over A's and b's)
+        take ``c = A.T @ b`` after the pass."""
+        P, q, c = op._pass(problem.A, problem.b)
         return cls(P=P, q=q, c=c)
 
     @property

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sketchls import harness
 from sketchls.cli import main
 
 
@@ -58,6 +59,31 @@ class TestSolve:
              "--json", str(dest)], capsys)
         assert code == 0
         assert json.loads(dest.read_text())["method"] == "pcls"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--mu", "abc"], "mu"),
+            (["--rho", "-1"], "rho"),
+            (["--lsqr-tol", "0"], "lsqr_tol"),
+            (["--m", "3"], "m=3"),
+            (["--m", "61"], "m=61"),
+            (["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_flags_are_refused_before_a_sketch(self, instance, capsys, monkeypatch,
+                                                   flags, named):
+        drawn, make_sketch = [], harness.make_sketch
+
+        def counted(spec):
+            drawn.append(spec)
+            return make_sketch(spec)
+
+        monkeypatch.setattr(harness, "make_sketch", counted)
+        code, stdout, stderr = run_cli(
+            ["solve", "--data", str(instance), "--method", "pcls", *flags], capsys)
+        assert code == 1 and stdout == "" and drawn == []
+        assert stderr.startswith("error:") and stderr.count("\n") == 1 and named in stderr
 
 
 class TestBenchProfileTiming:
@@ -145,6 +171,14 @@ RECORD = {"config_hash": "h", "method": "pcls", "sketch": "ros", "m": 10, "trial
         ("generate --rows 10 --cols 0", None, "N = 0"),
         ("generate --rows 10 --cols 2 --condition inf", None, "condition"),
         ("generate --rows 10 --cols 2 --residual-fraction nan", None, "residual fraction"),
+        ("profile", {**RECORD, "relative_accuracy": "abc"}, "relative_accuracy"),
+        ("profile", {**RECORD, "relative_accuracy": None, "error": None}, "relative_accuracy"),
+        ("timing", {**RECORD, "timings": {"sketch": "1"}}, "timings"),
+        ("timing", {**RECORD, "timings": []}, "timings"),
+        ("profile", {**RECORD, "trial": 1.5}, "trial"),
+        ("profile", {**RECORD, "method": 7}, "method"),
+        ("profile", {**RECORD, "error": 0}, "error"),
+        ("bench", {"seed": -1}, "seed"),
     ],
 )
 def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capfd, command, content, named):

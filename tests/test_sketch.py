@@ -366,7 +366,7 @@ class TestApply:
         A, b = rng.standard_normal((M, N)), rng.standard_normal(M)
         tracemalloc.start()
         try:
-            op.apply_each(A, b)
+            op._pass(A, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +378,7 @@ class TestApply:
         op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=1))
         assert sketch._ros_blocks(300, M, 65)[1] > 1
         starts = count_thread_starts(monkeypatch)
-        op.apply_each(np.ones((M, 64)), np.ones(M))
+        op._pass(np.ones((M, 64)), np.ones(M))
         assert len(starts) == 2
 
     def test_one_block_starts_no_thread(self, monkeypatch):
@@ -387,7 +387,7 @@ class TestApply:
         assert sketch._ros_blocks(9, 40, 6)[1] == 1
         starts = count_thread_starts(monkeypatch)
         fwht(np.ones((8, 1)))
-        op.apply_each(np.ones((40, 5)), np.ones(40))
+        op._pass(np.ones((40, 5)), np.ones(40))
         assert starts == []
 
     def test_ros_apply_leaves_no_thread(self, monkeypatch):
@@ -440,12 +440,14 @@ class TestApply:
         op = make_sketch(spec)
         assert op.matrix is None
         assert op.apply(X).tobytes() == (phi @ X).tobytes()
-        P, q = op.apply_each(X, b)
+        P, q, _ = op._pass(X, b)
         assert P.tobytes() == (phi @ X).tobytes() and q.tobytes() == (phi @ b).tobytes()
 
+    # The pass from_problem takes, given b, against apply on each input.
     # Beyond one 40-row block: the shapes and patched budgets of
     # test_ros_apply_matches_butterflies_across_blocks, where ros gets other
-    # blocks for A and b side by side than for each alone
+    # blocks for A and b side by side than for each alone. A held Phi forms
+    # Phi b on A's blocks, so only its P is apply's, bit for bit.
     @pytest.mark.parametrize("kind", KINDS + (None,))
     def test_apply_each_is_apply_on_each(self, monkeypatch, kind):
         rng = np.random.default_rng(9)
@@ -464,8 +466,13 @@ class TestApply:
                 A[:, 32:] = rng.choice([0.0, -0.0], size=(M, 32))
             if layout == "fortran":
                 A = np.asfortranarray(A)
-            P, q = op.apply_each(A, b)
-            assert P.tobytes() == op.apply(A).tobytes() and q.tobytes() == op.apply(b).tobytes()
+            P, q, c = op._pass(A, b)
+            assert P.tobytes() == op.apply(A).tobytes()
+            if op.matrix is None:
+                assert q.tobytes() == op.apply(b).tobytes() and c.tobytes() == (A.T @ b).tobytes()
+            else:
+                assert np.allclose(q, op.apply(b), rtol=0, atol=1e-12 * np.linalg.norm(b))
+                assert np.allclose(c, A.T @ b, rtol=0, atol=1e-12 * np.linalg.norm(A.T @ b))
             assert P.flags.c_contiguous and q.flags.c_contiguous
 
     def test_gaussian_apply_holds_two_blocks_not_phi(self, monkeypatch):

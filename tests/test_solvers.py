@@ -183,7 +183,7 @@ class TestCountFromProblem:
 
     def test_layouts_give_the_same_bits(self):
         """C, F and row-strided A give byte-equal P, q and c, and P is
-        byte-equal to apply(A) and apply_each(A, b)[0]."""
+        byte-equal to apply(A) and to Phi A of the pass given b."""
         problem, op = self.problem_and_op(60)
         want = SketchedProblem.from_problem(problem, op)
         for A in layouts(problem.A).values():
@@ -191,7 +191,7 @@ class TestCountFromProblem:
             for got, expected in ((sp.P, want.P), (sp.q, want.q), (sp.c, want.c)):
                 assert got.tobytes() == expected.tobytes()
             assert op.apply(A).tobytes() == want.P.tobytes()
-            assert op.apply_each(A, problem.b)[0].tobytes() == want.P.tobytes()
+            assert op._pass(A, problem.b)[0].tobytes() == want.P.tobytes()
 
     def test_c_is_atb_and_repeatable(self):
         problem, op = self.problem_and_op(61)
