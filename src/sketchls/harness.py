@@ -375,6 +375,10 @@ class ExperimentConfig:
             raise ValueError("lsqr_tol must be finite and positive")
 
     def validate_grid(self, problem: LSProblem):
+        """Refuse an m outside [N, M] when a method of the grid sketches;
+        unsketched methods read no m."""
+        if all(method in UNSKETCHED for method in self.methods):
+            return
         for m in self.m_values:
             if not (problem.N <= m <= problem.M):
                 raise ValueError(f"sketch size m={m} outside [N={problem.N}, M={problem.M}]")

@@ -29,6 +29,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,39 @@ def _ros_blocks(m: int, M: int, w: int) -> tuple[int, int, int]:
     return H, blocks, next_pow_two(M - (blocks - 1) * H)
 
 
+# elements of numpy's ufunc buffer while a thread runs ros work: numpy copies a
+# strided operand whose contiguous run is shorter than its buffer (8,192 by
+# default) through that buffer, which made the butterfly stages with h w
+# under about 3,000 take about twice as long as the higher ones; at 256 those
+# copies are short. A multiple of 16, as numpy 1.x requires. Buffering moves
+# no bit: ros runs elementwise ufuncs only.
+_UFUNC_BUFSIZE = 256
+
+
+@contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements in this thread for
+    the body, then the thread's own size again, even on an error. The size
+    is per thread (a worker starts at numpy's default), so each half of a
+    split sets it itself. Not ``np.errstate``: numpy 1.x's does not restore
+    the buffer size."""
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _tree_rows(m: int, blocks: int, w: int) -> int:
+    """Kept rows per chunk of a ros apply's trees: a chunk gathers leaves of
+    blocks x w values per row, and about two block budgets of them let each
+    chunk's twenty-odd numpy calls carry data rather than call overhead. At
+    most ceil(m / 2), so both halves of the split get work, or m when one
+    block makes the trees a gather, which needs no worker."""
+    per = 2 * _BLOCK_BYTES // max(1, 8 * blocks * w)
+    return max(1, min(per, m if blocks == 1 else -(-m // 2)))
+
+
 def _butterflies(a: np.ndarray, t: np.ndarray, h: int = 1) -> None:
     """The stages from h on of the transform on the rows of a C-contiguous
     ``a``, in place: stage h replaces each pair (x, y) of rows h apart within
@@ -135,14 +169,16 @@ def _signed_blocks(signs: np.ndarray, Xs, H: int) -> np.ndarray:
     rows, with every stage below H of the transform run on each block of H
     rows. ``_halves`` gives the caller and its worker half of the blocks:
     each flips a block, then runs the stages below B, a cache block's rows,
-    on each B rows and B .. H/2 on the block while it is in cache. These are
-    the butterflies of ``_butterflies`` on the whole array, bit for bit."""
+    on each B rows and B .. H/2 on the block while it is in cache, with a
+    small ufunc buffer (``_small_ufunc_buffer``). These are the butterflies
+    of ``_butterflies`` on the whole array, bit for bit."""
     M, w = len(Xs[0]), sum(X.shape[1] for X in Xs)
     tail = (M - 1) // H * H  # the last block's first row
     out = np.empty((tail + next_pow_two(M - tail), w))
     B = min(H, _block_rows(8 * w, _BLOCK_BYTES))
     parts = np.split(out, np.cumsum([X.shape[1] for X in Xs])[:-1], axis=1)
 
+    @_small_ufunc_buffer()
     def work(starts):
         t = np.empty(max(1, min(H * w // 2, _BLOCK_BYTES // 32)))
         for lo in starts:
@@ -267,8 +303,13 @@ class RosSketch(SketchOperator):
     the plain stage-by-stage transform on the padded length that reach row
     r, so Phi X and Phi b are each bit-identical to it, with or without b.
 
-    It needs that array, under half a block of zero rows, scratch within
-    the block budget, its output and a copy of each input's columns of it.
+    The trees run in chunks of kept rows (``_tree_rows``) whose leaves take
+    about two block budgets per thread, and each thread runs its share of
+    the transform and of the trees with a small ufunc buffer
+    (``_small_ufunc_buffer``); neither moves a bit. It needs that array,
+    under half a block of zero rows, transform scratch within the block
+    budget, the leaves (at most about M rows, by the rule for H), its
+    output and a copy of each input's columns of it.
     """
 
     def __init__(self, spec: SketchSpec, signs: np.ndarray, rows: np.ndarray):
@@ -283,11 +324,9 @@ class RosSketch(SketchOperator):
         m, w = self.spec.m, sum(widths)
         H, blocks, last = _ros_blocks(m, self.M, w)
         signed = _signed_blocks(self.signs, [Y.reshape(len(Y), k) for Y, k in zip(Xs, widths)], H)
-        # a chunk of `per` kept rows gathers blocks x w values per row; one
-        # block's trees are a gather, which needs no worker within the budget
-        per = _BLOCK_BYTES // 4 // max(1, 8 * blocks * w)
-        per = max(1, min(per, m if blocks == 1 else -(-m // 2)))
+        per = _tree_rows(m, blocks, w)
 
+        @_small_ufunc_buffer()
         def tree(starts):
             nodes = np.empty(blocks * per * w)
             for lo in starts:

@@ -60,6 +60,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(dest.read_text())["method"] == "pcls"
 
+    def test_unsketched_method_ignores_m(self, instance, capsys):
+        # ols reads no m, so an m outside [N, M] of the 60 x 4 instance is no error
+        code, stdout, _ = run_cli(
+            ["solve", "--data", str(instance), "--method", "ols", "--m", "3"], capsys)
+        assert code == 0
+        assert json.loads(stdout)["method"] == "ols"
+
     @pytest.mark.parametrize(
         "flags, named",
         [

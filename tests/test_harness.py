@@ -258,6 +258,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("m", [4, 81])  # below N = 5, above M = 80
+    def test_grid_bounds_apply_only_to_sketched_methods(self, m):
+        problem = generate_synthetic(80, 5, 10.0, "incoherent", seed=3)
+        quick_config(methods=("ols", "ols-normal"), m_values=(m,)).validate_grid(problem)
+        with pytest.raises(ValueError, match=f"m={m}"):
+            quick_config(methods=("ols", "pcls"), m_values=(m,)).validate_grid(problem)
+        records = run_experiment(quick_config(methods=("ols",), m_values=(m,), trials=1))
+        assert [(r.method, r.m, r.error) for r in records] == [("ols", 0, None)]
+
 
 class TestRunExperiment:
     def test_ols_scores_zero(self):

@@ -317,8 +317,8 @@ class TestApply:
 
     def test_ros_apply_splits_and_prunes_within_the_bound(self):
         # 8 blocks of 2,048 rows split between two threads, and the 300
-        # kept rows' trees over them in 5 chunks: together the threads'
-        # scratch stays within one block
+        # kept rows' trees over them in 2 chunks of 150, one per thread,
+        # whose leaves take 0.6 MB each
         M, N = 2**14, 64
         op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=0))
         X = np.random.default_rng(0).standard_normal((M, N))
@@ -413,6 +413,91 @@ class TestApply:
         with pytest.raises(RuntimeError, match="worker's share"):
             op.apply(X)
         assert threading.active_count() == before
+
+    # Neither a small ufunc buffer nor the tree chunk moves a bit: numpy's
+    # default buffer, and chunks of 1 and of ceil(m / 2) kept rows, give the
+    # same P, q, c, apply and fwht as the padded stage-by-stage butterfly.
+    # At these M the matrices' last block holds 1 row, whose tree nodes meet
+    # zero blocks, or 3 rows padded to 4; the vectors make one block of
+    # 8,192 rows, zero-padded from M.
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {},
+            {"_UFUNC_BUFSIZE": 8192},  # numpy's default
+            {"_tree_rows": lambda m, blocks, w: 1},
+            {"_tree_rows": lambda m, blocks, w: -(-m // 2)},
+        ],
+        ids=["as-is", "default-buffer", "chunk-1", "chunk-half"],
+    )
+    @pytest.mark.parametrize("M", [2**12 + 1, 2**12 + 2**11 + 3])
+    @pytest.mark.parametrize("layout", ["vector", "matrix", "fortran"])
+    def test_ros_speedups_move_no_bit(self, monkeypatch, patch, M, layout):
+        rng = np.random.default_rng(M)
+        op = make_sketch(SketchSpec(kind="ros", m=200, M=M, seed=5))
+        n = next_pow_two(M)
+        Z = rng.standard_normal((n, 64))
+        Z[:, 32:] = rng.choice([0.0, -0.0], size=(n, 32))
+        Z = {"vector": Z[:, 0], "matrix": Z, "fortran": np.asfortranarray(Z)}[layout]
+        X, b = Z[:M], rng.choice([1.0, 0.0, -0.0], size=M)
+        padded = np.zeros_like(Z, order="C")
+        padded[:M] = op.signs.reshape((M,) + (1,) * (X.ndim - 1)) * X
+
+        def kept(Y):
+            return (butterfly_reference(Y)[op.rows] / math.sqrt(op.spec.m)).tobytes()
+
+        for name, value in patch.items():
+            monkeypatch.setattr(sketch, name, value)
+        P, q, c = op._pass(X, b)
+        assert P.tobytes() == op.apply(X).tobytes() == kept(padded)
+        assert q.tobytes() == kept(np.concatenate([op.signs * b, np.zeros(n - M)]))
+        assert c.tobytes() == (X.T @ b).tobytes()
+        assert fwht(Z).tobytes() == butterfly_reference(Z).tobytes()
+
+    @pytest.mark.parametrize("fail_in", [None, "worker", "caller"])
+    def test_ros_puts_back_each_threads_ufunc_buffer(self, monkeypatch, fail_in):
+        # each half of a split runs with the small buffer and then has its
+        # thread's own size again, also when a half raises
+        M = 2**14
+        op = make_sketch(SketchSpec(kind="ros", m=300, M=M, seed=1))
+        X = np.ones((M, 64))
+        caller = threading.current_thread()
+        during, after = set(), set()  # (in the caller, numpy's buffer size)
+        butterflies, halves = sketch._butterflies, sketch._halves
+
+        def watched_butterflies(a, t, h=1):
+            in_caller = threading.current_thread() is caller
+            during.add((in_caller, np.getbufsize()))
+            if fail_in == ("caller" if in_caller else "worker"):
+                raise RuntimeError("stop in one half")
+            butterflies(a, t, h)
+
+        def watched_halves(work, items):
+            def run(part):
+                try:
+                    return work(part)
+                finally:
+                    after.add((threading.current_thread() is caller, np.getbufsize()))
+
+            return halves(run, items)
+
+        monkeypatch.setattr(sketch, "_butterflies", watched_butterflies)
+        monkeypatch.setattr(sketch, "_halves", watched_halves)
+        old = np.setbufsize(4096)
+        try:
+            if fail_in is None:
+                op.apply(X)
+                op._pass(X, np.ones(M))
+                fwht(X)
+            else:
+                with pytest.raises(RuntimeError, match="one half"):
+                    op.apply(X)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+        small = sketch._UFUNC_BUFSIZE
+        assert during == {(True, small), (False, small)}
+        assert after == {(True, 4096), (False, 8192)}  # a worker starts at numpy's default
 
     # 3 blocks, the last of 18 rows; one block; budgets of 1 and 2 rows
     # (4-row blocks, the last of 6 rows); and at the real budget one 32-row
