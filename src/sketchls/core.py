@@ -7,11 +7,17 @@ judged by.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_factor, cho_solve, norm, qr, solve_triangular, svdvals
 
 from .exceptions import (
@@ -23,17 +29,24 @@ from .exceptions import (
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
 
-# bytes of one working block, the one budget of the TSQR of [A b], the two
-# passes over A's row blocks (LSQR's and a count sketch's) and the ros
-# transform: it fits a per-core L2 cache and makes numpy's per-call cost
-# negligible. The TSQR's and the count pass's two halves take half a budget
-# each, as both may copy a block.
+# bytes of one working block, the one budget of the TSQR of [A b], the three
+# passes over A's row blocks (the normal equations', LSQR's and a count
+# sketch's) and the ros transform: it fits a per-core L2 cache and makes
+# numpy's per-call cost negligible. The TSQR's and the count pass's two halves
+# take half a budget each, as both may copy a block.
 _BLOCK_BYTES = 1 << 20
 
-# fewest rows of a pass block: numpy's matmul releases the GIL only above a
-# loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves of a
-# pass over smaller blocks would take turns instead of overlapping
+# fewest rows of a block of the normal equations', LSQR's and the count pass:
+# numpy's matmul releases the GIL only above a loop size of 500
+# (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves of a pass over smaller
+# blocks would take turns instead of overlapping
 _PASS_ROWS = 512
+
+# splits now running (see _one_blas_thread), and the thread count of each
+# library of _openblas() before the first of them began
+_held_lock = threading.Lock()
+_held = 0
+_held_counts = ()
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -58,16 +71,65 @@ def _norm(v) -> float:
     return float(norm(v, check_finite=False))
 
 
+@cache
+def _openblas() -> tuple:
+    """``(get, set)`` of the thread count of each OpenBLAS that numpy and
+    scipy bundle (in ``numpy.libs`` and ``scipy.libs``) and this process has
+    loaded; empty under any other BLAS. Each count is process-wide."""
+    found = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:  # not loaded
+                continue
+            # the C entry points; the ones that end in "_" take a pointer
+            for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+                get = getattr(lib, name.format("get_num_threads"), None)
+                put = getattr(lib, name.format("set_num_threads"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+    return tuple(found)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every library of ``_openblas()`` at one thread while the block
+    runs. The count is process-wide, so overlapping holds share one: the
+    first to begin saves the counts and the last to end restores them."""
+    global _held, _held_counts
+    with _held_lock:
+        if not _held:
+            _held_counts = tuple(get() for get, _ in _openblas())
+            for _, put in _openblas():
+                put(1)
+        _held += 1
+    try:
+        yield
+    finally:
+        with _held_lock:
+            _held -= 1
+            if not _held:
+                for (_, put), count in zip(_openblas(), _held_counts):
+                    put(count)
+
+
 def _halves(work, items):
     """``(work(items[:k]), work(items[k:]))`` with k = len(items) // 2: the
     first half in the worker of a one-thread pool that this call starts and
     joins, the rest in the caller. An error on either side is raised once
     both halves are done. With k = 0 the caller runs both and no thread
-    starts."""
+    starts. While a worker runs, the bundled OpenBLAS libraries are held at
+    one thread (``_one_blas_thread``), so that each half's BLAS calls do
+    not start threads of their own on cores the other half is using."""
     k = len(items) // 2
     if not k:
         return work(items[:0]), work(items)
-    with ThreadPoolExecutor(1) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
         first = pool.submit(work, items[:k])
         last = work(items[k:])
     return first.result(), last
@@ -199,21 +261,37 @@ def solve_ols(problem: LSProblem, method: str = "factorized") -> np.ndarray:
     """Solve the uncompressed problem ``min 0.5 ||Ax - b||^2``.
 
     ``method="factorized"`` back-substitutes on the instance's QR factor of
-    ``[A b]``; ``method="normal-equations"`` forms ``A^T A`` and solves the
-    SPD system, which is faster but condition-sensitive.
+    ``[A b]``; ``method="normal-equations"`` forms ``A^T A`` and ``A^T b``
+    and solves the SPD system by Cholesky, which is condition-sensitive.
+    It reads A once: A is cut into row blocks of about ``_BLOCK_BYTES`` and
+    at least ``_PASS_ROWS`` rows, and ``_halves`` runs the first half of
+    them in its worker and the rest in the caller. Each half adds
+    ``A_k^T A_k`` (one BLAS syrk) and ``b_k^T A_k`` of its blocks into its
+    own partials, and the two are added at the end. The split depends only
+    on A's shape, so equal inputs give a bit-identical x.
     """
     A, b = problem.A, problem.b
+    M, N = A.shape
     if method == "factorized":
-        N = problem.N
         r_aug = problem._r_aug
         return solve_triangular(r_aug[:N, :N], r_aug[:N, N], check_finite=False)
     if method == "normal-equations":
-        gram = A.T @ A
+        step = max(_PASS_ROWS, _BLOCK_BYTES // (8 * N))
+
+        def work(starts):
+            gram, rhs = np.zeros((N, N)), np.zeros(N)
+            for lo in starts:
+                A_k = A[lo : lo + step]
+                gram += A_k.T @ A_k
+                rhs += b[lo : lo + step] @ A_k
+            return gram, rhs
+
+        (gram, rhs), (gram_last, rhs_last) = _halves(work, range(0, M, step))
         try:
-            factor = cho_factor(gram)
+            factor = cho_factor(gram + gram_last)
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError(f"normal equations are singular: {exc}") from exc
-        return cho_solve(factor, A.T @ b)
+        return cho_solve(factor, rhs + rhs_last)
     raise ValueError(f"unknown OLS method {method!r}")
 
 

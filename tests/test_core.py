@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import qr, svdvals
+from scipy.linalg import cho_factor, cho_solve, qr, svdvals
 
 from helpers import planted_problem, random_problem
 from sketchls import (
@@ -337,6 +338,56 @@ class TestTsqr:
         assert peak <= 0.25 * M * N * 8
 
 
+class TestNormalEquationsPass:
+    """``solve_ols(p, "normal-equations")`` sums A_k^T A_k and b_k^T A_k over
+    row blocks on two threads; patching the block budget to 0 gives blocks
+    of the 512-row floor."""
+
+    @staticmethod
+    def layouts(rng, M, N):
+        A, b = rng.standard_normal((M, N)), rng.standard_normal(M)
+        wide = rng.standard_normal((2 * M, N))
+        return {"C": (A, b), "F": (np.asfortranarray(A), b), "strided": (wide[::2], b)}
+
+    # 4 blocks, the last of 464 rows; 2 blocks, the caller's one of 1 row
+    @pytest.mark.parametrize("M, N", [(2000, 6), (513, 3)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matches_one_cholesky_of_the_whole_gram(self, monkeypatch, M, N, layout):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        A, b = self.layouts(np.random.default_rng(M + N), M, N)[layout]
+        problem = LSProblem(A=A, b=b)
+        x = solve_ols(problem, "normal-equations")
+        ref = cho_solve(cho_factor(A.T @ A), A.T @ b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert solve_ols(problem, "normal-equations").tobytes() == x.tobytes()
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        start, starts = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        problem, x_star = planted_problem(np.random.default_rng(19), 511, 6)
+        x = solve_ols(problem, "normal-equations")
+        assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
+        assert starts == []
+
+    def test_rejects_duplicated_column_across_blocks(self, monkeypatch):
+        # entries of +-1 and 4,096 = 64^2 rows keep every sum and the
+        # Cholesky pivots exact, so the third pivot is exactly 0
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        A = np.random.default_rng(20).choice([-1.0, 1.0], size=(4096, 3))
+        A[:, 2] = A[:, 0]
+        problem = object.__new__(LSProblem)  # construction would reject A
+        problem.A, problem.b = A, np.ones(4096)
+        with pytest.raises(RankDeficientError):
+            solve_ols(problem, "normal-equations")
+
+
+def blas_counts():
+    """Thread count of each bundled OpenBLAS; skips where none is loaded."""
+    if not core._openblas():
+        pytest.skip("no bundled OpenBLAS loaded")
+    return [get() for get, _ in core._openblas()]
+
+
 class TestHalves:
     def test_returns_each_half_in_order_and_joins(self):
         caller = threading.current_thread()
@@ -378,3 +429,94 @@ class TestHalves:
 
         assert core._halves(work, range(n)) == ([], list(range(n)))
         assert starts == []
+
+
+    # the hold: while a worker runs, each bundled OpenBLAS is held at one
+    # thread, process-wide, and the last split to end restores the counts
+
+    def test_both_halves_run_at_one_blas_thread_and_the_counts_return(self):
+        before = blas_counts()
+        seen = core._halves(lambda part: blas_counts(), range(2))
+        assert seen == ([1] * len(before),) * 2
+        assert blas_counts() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_blas_counts_return_after_a_half_raises(self, failing):
+        caller, before = threading.current_thread(), blas_counts()
+
+        def work(part):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError("half failed")
+
+        with pytest.raises(RuntimeError, match="half failed"):
+            core._halves(work, range(2))
+        assert blas_counts() == before
+
+    def test_blas_counts_return_when_the_last_of_overlapping_splits_ends(self):
+        # split "a" ends while split "b"'s halves still run: they must still
+        # read 1, and the counts return only once "b" ends too
+        before = blas_counts()
+        inside, a_done, seen = threading.Barrier(4, timeout=10), threading.Event(), []
+
+        def work(name):
+            inside.wait()
+            if name == "b":
+                seen.append(a_done.wait(10))
+            seen.append(blas_counts())
+
+        def split_a():
+            core._halves(lambda part: work("a"), range(2))
+            a_done.set()
+
+        threads = [threading.Thread(target=split_a),
+                   threading.Thread(target=core._halves, args=(lambda part: work("b"), range(2)))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen.count(True) == 2
+        assert [c for c in seen if c is not True] == [[1] * len(before)] * 4
+        assert blas_counts() == before
+
+    def test_many_threads_splitting_at_once_restore_the_blas_counts(self):
+        before, seen = blas_counts(), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def splits():
+                for _ in range(25):
+                    core._halves(lambda part: seen.append(blas_counts()), range(2))
+
+            threads = [threading.Thread(target=splits) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [[1] * len(before)] * (4 * 25 * 2)
+        assert blas_counts() == before
+
+    def test_without_a_bundled_openblas_holds_nothing(self, monkeypatch):
+        libs = core._openblas()
+        before = [get() for get, _ in libs]
+        monkeypatch.setattr(core, "_openblas", lambda: ())
+        caller = threading.current_thread()
+        seen = {}
+
+        def work(part):
+            seen[threading.current_thread() is caller] = ([get() for get, _ in libs], list(part))
+            return sum(part)
+
+        assert core._halves(work, range(5)) == (0 + 1, 2 + 3 + 4)
+        assert seen == {False: (before, [0, 1]), True: (before, [2, 3, 4])}
+
+        def fail(part):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker failed")
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            core._halves(fail, range(2))
+        assert [get() for get, _ in libs] == before

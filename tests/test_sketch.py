@@ -332,9 +332,10 @@ class TestApply:
 
     # With the block budget patched to 16 rows of 64 columns, 64-column
     # inputs get cache blocks of B = 16 rows inside blocks of H = 256 or 512
-    # rows, so the stages above B run, and each kept row's tree runs alone;
-    # at 2^12 + 1 and 2^12 + 2^11 + 3 rows the last block holds 1 or 4 rows,
-    # so lone tree nodes meet zero blocks and take their sign of zero.
+    # rows, so the stages above B run, and the trees run in chunks of 2 kept
+    # rows (16 blocks at 2^12 rows, 13 at 2^12 + 2^11 + 3) or 3 (9 blocks at
+    # 2^12 + 1); at 2^12 + 1 and 2^12 + 2^11 + 3 rows the last block holds 1
+    # or 4 rows, so lone tree nodes meet zero blocks and take their sign of zero.
     # Vectors get B = H = 1,024. With a budget of 1,024 rows, 64-column
     # inputs get B = H = 1,024 and vectors one block.
     @pytest.mark.parametrize("budget_rows", [16, 1024])
