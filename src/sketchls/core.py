@@ -31,15 +31,17 @@ RANK_REL_TOL = 1e-12
 
 # bytes of one working block, the one budget of the TSQR of [A b], the three
 # passes over A's row blocks (the normal equations', LSQR's and a count
-# sketch's) and the ros transform: it fits a per-core L2 cache and makes
-# numpy's per-call cost negligible. The TSQR's and the count pass's two halves
-# take half a budget each, as both may copy a block.
+# sketch's), the ros transform, and a synthetic instance's passes over its
+# Gaussian G (the draw with the first Gram, the two CholeskyQR passes) and
+# over U (the product A = U diag(sigma) V^T): it fits a per-core L2 cache and
+# makes numpy's per-call cost negligible. The TSQR's and the count pass's two
+# halves take half a budget each, as both may copy a block.
 _BLOCK_BYTES = 1 << 20
 
-# fewest rows of a block of the normal equations', LSQR's and the count pass:
-# numpy's matmul releases the GIL only above a loop size of 500
-# (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves of a pass over smaller
-# blocks would take turns instead of overlapping
+# fewest rows of a block of the normal equations', LSQR's and the count pass,
+# and of a synthetic instance's passes: numpy's matmul releases the GIL only
+# above a loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves
+# of a pass over smaller blocks would take turns instead of overlapping
 _PASS_ROWS = 512
 
 # splits now running (see _one_blas_thread), and the thread count of each
@@ -125,7 +127,13 @@ def _halves(work, items):
     both halves are done. With k = 0 the caller runs both and no thread
     starts. While a worker runs, the bundled OpenBLAS libraries are held at
     one thread (``_one_blas_thread``), so that each half's BLAS calls do
-    not start threads of their own on cores the other half is using."""
+    not start threads of their own on cores the other half is using.
+
+    The halves overlap only where ``work`` releases the GIL: numpy's
+    ``matmul`` above a loop size of 500 (see ``_PASS_ROWS``), its ufuncs and
+    random draws, and scipy's LAPACK ``qr``. The f2py wrappers of
+    ``scipy.linalg.blas`` (``dsyrk``, ``dtrsm``, ...) hold it, so two halves
+    of those take turns on one core."""
     k = len(items) // 2
     if not k:
         return work(items[:0]), work(items)
@@ -133,6 +141,30 @@ def _halves(work, items):
         first = pool.submit(work, items[:k])
         last = work(items[k:])
     return first.result(), last
+
+
+def _pipelined(produce, use, items) -> None:
+    """``use(produce(item))`` for each of ``items`` in order, with the next
+    ``produce`` running in the worker of a one-thread pool that this call
+    starts and joins while the caller runs ``use`` on the current one. The
+    ``produce`` calls run one at a time and in order, and so do the ``use``
+    calls; ``produce(items[k + 1])`` starts only once ``use`` of item k - 1
+    has returned, so two buffers taken in turn suffice. An error on either
+    side is raised once the worker is idle. With fewer than two items the
+    caller runs everything and no thread starts. Like ``_halves``, it holds
+    the bundled OpenBLAS libraries at one thread while the worker runs."""
+    items = list(items)
+    if len(items) < 2:
+        for item in items:
+            use(produce(item))
+        return
+    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(produce, items[0])
+        for item in items[1:]:
+            made = pending.result()
+            pending = pool.submit(produce, item)
+            use(made)
+        use(pending.result())
 
 
 def _fold(r, blocks) -> np.ndarray:

@@ -19,10 +19,18 @@ from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
-from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
-from .core import LSProblem, make_report, relative_residual_profile, solve_ols
+from .core import (
+    _BLOCK_BYTES,
+    _PASS_ROWS,
+    LSProblem,
+    _halves,
+    _pipelined,
+    make_report,
+    relative_residual_profile,
+    solve_ols,
+)
 from .exceptions import CsvFormatError, DimensionError
 from .rpc import RpcParams, solve_robust_cls, solve_rpc_sketched
 from .sketch import KINDS, SketchSpec, make_sketch
@@ -87,30 +95,86 @@ UNSKETCHED = tuple(name for name, (sketched, _, _) in _METHOD_TABLE.items() if n
 _PROBLEM_STREAM = 101  # spawn key for the synthetic-problem generator
 
 
+def _row_step(cols: int) -> int:
+    """Rows of a block of the passes below: about ``_BLOCK_BYTES``, at least
+    ``_PASS_ROWS``."""
+    return max(_PASS_ROWS, _BLOCK_BYTES // (8 * cols))
+
+
+def _times(X, R, out, gram=False):
+    """``out <- X R`` block by block, ``out`` X itself or another array of
+    X's shape, on both cores: ``_halves`` gives the first half of the row
+    blocks to its worker and the rest to the caller. With ``gram`` it
+    returns the sum of ``out_k^T out_k`` over the blocks, each added while
+    its block is in cache into a partial per half. The split depends on the
+    shapes alone."""
+    step = _row_step(X.shape[1])
+
+    def work(starts):
+        total = np.zeros((R.shape[1],) * 2) if gram else None
+        for lo in starts:
+            out_k = out[lo : lo + step]
+            np.matmul(X[lo : lo + step], R, out=out_k)
+            if gram:
+                total += out_k.T @ out_k
+        return total
+
+    first, last = _halves(work, range(0, len(X), step))
+    return first + last if gram else None
+
+
+def _inverse_chol(gram) -> np.ndarray:
+    """``R^-1`` of the Cholesky factor ``R^T R = gram``; LinAlgError where
+    ``gram`` is not numerically positive definite."""
+    R = cholesky(gram, overwrite_a=True, check_finite=False)
+    return solve_triangular(R, np.eye(len(R)), check_finite=False)
+
+
+def _householder_q(G) -> np.ndarray:
+    Q, R = np.linalg.qr(G)
+    return Q * np.sign(np.diag(R))
+
+
 def _haar_columns(rng, rows, cols):
     """Orthonormal columns with Haar-like distribution: the Q, with a
     positive diagonal in R, of a QR of one ``standard_normal((rows, cols))``.
 
-    For rows >= 2 cols the QR is CholeskyQR2: twice ``R = chol(G^T G)``,
-    ``G <- G R^-1``, by ``dsyrk`` and ``dtrsm`` in place on the Fortran view
-    ``G.T``. A tall Gaussian has condition number below about 6 with high
-    probability, so two passes reach orthogonality at rounding level. A
-    shorter or square G, which need not be that well conditioned, and one
-    whose Cholesky fails, get a Householder QR; ``G R^-1`` spans what G does
-    with the same orientation, so a first pass done does not change that Q.
+    For rows >= 2 cols the QR is CholeskyQR2 in three passes over G's row
+    blocks (``_row_step``), each on both cores. (1) G is drawn block by
+    block in stream order, bit for bit the one draw, by the worker of
+    ``_pipelined`` while the caller adds the previous block's ``G_k^T G_k``.
+    (2) With ``R1 = chol(G^T G)``, ``_times`` sets ``G_k <- G_k R1^-1`` and
+    adds the new ``G_k^T G_k``. (3) With ``R2`` the Cholesky factor of that
+    sum, ``_times`` sets ``G_k <- G_k R2^-1``. Every call that overlaps
+    releases the GIL (numpy's draws and matmul; see ``_halves``). A tall
+    Gaussian has condition number below about 6 with high probability, so
+    the explicit inverses are accurate and two passes reach orthogonality at
+    rounding level. A shorter or square G, which need not be that well
+    conditioned, and one whose Cholesky fails, get a Householder QR; ``G
+    R1^-1`` spans what G does with the same orientation, so a first pass
+    done does not change that Q.
     """
-    G = rng.standard_normal((rows, cols))
-    if rows >= 2 * cols:
-        Gt = G.T
-        try:
-            for _ in range(2):
-                R = cholesky(dsyrk(1.0, Gt), overwrite_a=True, check_finite=False)
-                dtrsm(1.0, R, Gt, trans_a=1, overwrite_b=1)  # Gt <- R^-T Gt
-            return G
-        except LinAlgError:
-            pass
-    Q, R = np.linalg.qr(G)
-    return Q * np.sign(np.diag(R))
+    if rows < 2 * cols:
+        return _householder_q(rng.standard_normal((rows, cols)))
+    G = np.empty((rows, cols))
+    gram = np.zeros((cols, cols))
+    step = _row_step(cols)
+
+    def draw(lo):
+        block = G[lo : lo + step]
+        rng.standard_normal(out=block)
+        return block
+
+    def add(block):
+        gram[...] += block.T @ block
+
+    _pipelined(draw, add, range(0, rows, step))
+    try:
+        gram = _times(G, _inverse_chol(gram), G, gram=True)
+        _times(G, _inverse_chol(gram), G)
+        return G
+    except LinAlgError:
+        return _householder_q(G)
 
 
 def _geometric_sigma(n, condition):
@@ -118,10 +182,14 @@ def _geometric_sigma(n, condition):
 
 
 def _incoherent_matrix(rng, M, N, condition):
-    """A = U diag(sigma) V^T with Haar U and V, and U, which spans range(A)."""
+    """A = U diag(sigma) V^T with Haar U and V, and U, which spans range(A).
+    A takes no M x N temporary: ``_times`` writes ``U_k (diag(sigma) V^T)``
+    into each row block of A on both cores."""
     U = _haar_columns(rng, M, N)
     V = _haar_columns(rng, N, N)
-    return (U * _geometric_sigma(N, condition)) @ V.T, U
+    A = np.empty((M, N))
+    _times(U, _geometric_sigma(N, condition)[:, None] * V.T, A)
+    return A, U
 
 
 def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) -> LSProblem:
@@ -130,6 +198,13 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
     The returned matrix has the requested condition number; the right-hand
     side is ``A x_star + z`` with ``z`` orthogonal to range(A) and
     ``||z|| = residual_fraction * ||A x_star||``.
+
+    The incoherent and semi-coherent classes draw their dense block from
+    Haar factors (``_incoherent_matrix``), built in passes over row blocks
+    on both cores, and project z off range(A) with those factors' U. The
+    coherent class has no U and projects z with the TSQR of ``[A z]``
+    (``solve_ols``). An incoherent instance peaks at about 2.2 x 8 M N bytes
+    of numpy arrays: U, A and a boolean copy of A for the finiteness check.
     """
     if not M >= N >= 1:
         raise DimensionError(f"need M >= N >= 1, got M = {M}, N = {N}")
@@ -168,8 +243,7 @@ def generate_synthetic(M, N, condition, coherence, seed, residual_fraction=0.5) 
     if residual_fraction > 0:
         z = rng.standard_normal(M)
         if U is None:
-            coef, *_ = np.linalg.lstsq(A, z, rcond=None)
-            z -= A @ coef
+            z -= A @ solve_ols(LSProblem(A, z))  # by the two-core TSQR of [A z]
         else:
             z[len(U) :] = 0.0
             z[: len(U)] -= U @ (U.T @ z[: len(U)])

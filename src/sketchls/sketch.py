@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse._sparsetools import csc_matvecs
 
-from .core import _BLOCK_BYTES, _PASS_ROWS, _halves
+from .core import _BLOCK_BYTES, _PASS_ROWS, _halves, _pipelined
 from .exceptions import DimensionError
 
 KINDS = ("gaussian", "ros", "count")  # index = generator stream, so only append
@@ -366,7 +365,8 @@ class GaussianSketch(SketchOperator):
 
     def _each_block(self, use) -> None:
         """Call ``use(rows, Phi[rows])`` on each block in order while a worker
-        thread draws the next one into the other buffer. Blocks start every
+        thread draws the next one into the other buffer (``_pipelined``, so
+        BLAS is held at one thread meanwhile). Blocks start every
         ``step`` rows (a power of two that fits the budget, 4 to m) and the
         last one takes the rest: shorter blocks run other BLAS kernels (gemv,
         small-matrix), whose sums differ in the last bits from Phi @ X's."""
@@ -380,15 +380,9 @@ class GaussianSketch(SketchOperator):
             block = buffers[k % 2][: bounds[k + 1] - bounds[k]]
             rng.standard_normal(out=block)
             block /= math.sqrt(m)
-            return block
+            return slice(bounds[k], bounds[k + 1]), block
 
-        with ThreadPoolExecutor(1) as pool:
-            pending = pool.submit(draw, 0)
-            for k in range(len(bounds) - 1):
-                block = pending.result()
-                if k + 2 < len(bounds):
-                    pending = pool.submit(draw, k + 1)
-                use(slice(bounds[k], bounds[k + 1]), block)
+        _pipelined(draw, lambda drawn: use(*drawn), range(len(bounds) - 1))
 
     def _pass(self, X, b=None) -> tuple:
         X = self._check_rows(X)

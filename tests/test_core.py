@@ -520,3 +520,54 @@ class TestHalves:
         with pytest.raises(RuntimeError, match="worker failed"):
             core._halves(fail, range(2))
         assert [get() for get, _ in libs] == before
+
+
+class TestPipelined:
+    def test_produces_on_the_worker_and_uses_in_the_caller_in_order(self):
+        caller, before = threading.current_thread(), threading.active_count()
+        made, used = [], []
+
+        def produce(item):
+            made.append((item, threading.current_thread() is caller, blas_counts()))
+            return item * 10
+
+        core._pipelined(produce, lambda value: used.append(value), range(4))
+        held = [1] * len(blas_counts())
+        assert made == [(k, False, held) for k in range(4)]
+        assert used == [0, 10, 20, 30]
+        assert threading.active_count() == before
+
+    def test_never_produces_two_ahead_of_use(self):
+        # produce(k + 1) may overlap use(k) only, so two buffers suffice
+        events = []
+
+        def use(item):
+            time.sleep(0.01)  # far longer than a produce
+            events.append(("use", item))
+
+        core._pipelined(lambda item: events.append(("produce", item)) or item, use, range(5))
+        for k in range(2, 5):
+            assert events.index(("use", k - 2)) < events.index(("produce", k))
+        assert [e for e in events if e[0] == "use"] == [("use", k) for k in range(5)]
+
+    @pytest.mark.parametrize("failing", ["produce", "use"])
+    def test_an_error_joins_the_worker_and_restores_the_blas_counts(self, failing):
+        before, threads = blas_counts(), threading.active_count()
+
+        def step(name, item):
+            if name == failing and item == 2:
+                raise RuntimeError(f"{name} failed")
+            return item
+
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            core._pipelined(lambda k: step("produce", k), lambda k: step("use", k), range(4))
+        assert blas_counts() == before
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_runs_fewer_than_two_items_in_the_caller(self, monkeypatch, n):
+        start, starts, used = threading.Thread.start, [], []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        core._pipelined(lambda item: item + 1, used.append, range(n))
+        assert used == list(range(1, n + 1))
+        assert starts == []

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -78,6 +80,32 @@ class TestGenerateSynthetic:
         p2 = generate_synthetic(50, 5, 100.0, "incoherent", seed=6)
         assert np.array_equal(p1.A, p2.A) and np.array_equal(p1.b, p2.b)
 
+    @pytest.mark.parametrize("coherence", ["incoherent", "semi-coherent"])
+    def test_bit_equal_across_blocks(self, monkeypatch, coherence):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)  # 3,000 rows: six blocks of 512
+        p1 = generate_synthetic(3000, 20, 100.0, coherence, seed=6)
+        p2 = generate_synthetic(3000, 20, 100.0, coherence, seed=6)
+        assert p1.A.tobytes() == p2.A.tobytes() and p1.b.tobytes() == p2.b.tobytes()
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # at the default budget 500 rows are one block of every pass
+        start, starts = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        p = generate_synthetic(500, 40, 1e2, "incoherent", seed=3)
+        assert measured_condition(p.A) == pytest.approx(1e2, rel=1e-10)
+        assert starts == []
+
+    def test_incoherent_instance_peaks_near_two_copies_of_a(self):
+        # U and A, where one product through a temporary held three M x N arrays
+        M, N = 20_000, 100
+        tracemalloc.start()
+        try:
+            generate_synthetic(M, N, 1e4, "incoherent", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * M * N
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(Exception):
             generate_synthetic(5, 10, 10.0, "incoherent", seed=0)
@@ -108,9 +136,13 @@ class TestGenerateSynthetic:
 
 
 class TestHaarColumns:
-    # CholeskyQR2 on the tall shapes, a Householder QR on the others
-    @pytest.mark.parametrize("rows, cols", [(500, 40), (80, 40), (79, 40), (30, 30)])
-    def test_matches_sign_normalized_householder_q(self, rows, cols):
+    # CholeskyQR2 on the tall shapes, a Householder QR on the others; at a
+    # budget of 0 the passes take blocks of _PASS_ROWS = 512 rows, so that
+    # (500, 40) is one block and (3000, 40) six
+    @pytest.mark.parametrize("rows, cols", [(500, 40), (80, 40), (79, 40), (30, 30),
+                                            (3000, 40), (1537, 8), (1024, 512)])
+    def test_matches_sign_normalized_householder_q(self, monkeypatch, rows, cols):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
         rng = np.random.default_rng(rows + cols)
         Q = _haar_columns(rng, rows, cols)
         drawn = np.random.default_rng(rows + cols)
@@ -124,6 +156,50 @@ class TestHaarColumns:
     def test_incoherent_condition_is_the_one_requested(self):
         p = generate_synthetic(4096, 32, condition=1e4, coherence="incoherent", seed=2)
         assert measured_condition(p.A) == pytest.approx(1e4, rel=1e-10)
+
+    def test_condition_is_the_one_requested_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)  # eight blocks of 512 rows
+        p = generate_synthetic(4096, 32, condition=1e4, coherence="incoherent", seed=2)
+        assert measured_condition(p.A) == pytest.approx(1e4, rel=1e-10)
+
+    def test_second_pass_orthogonalizes_an_ill_conditioned_g(self, monkeypatch):
+        # one CholeskyQR pass leaves Q^T Q - I near cond(G)^2 u, here 7e-8
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(7)
+        X = (haar(rng, 3000, 40) * np.geomspace(1.0, 1e-5, 40)) @ haar(rng, 40, 40).T
+
+        class Rows:
+            """Fills each ``out`` block with the next rows of X."""
+            at = 0
+
+            def standard_normal(self, out):
+                out[...] = X[self.at : self.at + len(out)]
+                self.at += len(out)
+
+        Q = _haar_columns(Rows(), 3000, 40)
+        ref, R = np.linalg.qr(X)
+        assert np.linalg.norm(Q.T @ Q - np.eye(40), 2) <= 1e-14
+        assert np.abs(Q - ref * np.sign(np.diag(R))).max() <= 1e-10
+
+    @pytest.mark.parametrize("failing", [None, 1, 2])
+    def test_failed_cholesky_falls_back_to_householder(self, monkeypatch, failing):
+        # the first Cholesky fails on G, the second on G R1^-1
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+        calls, fallbacks = [], []
+        cholesky, householder_q = harness.cholesky, harness._householder_q
+
+        def flaky(gram, **kwargs):
+            calls.append(1)
+            if len(calls) == failing:
+                raise harness.LinAlgError("not positive definite")
+            return cholesky(gram, **kwargs)
+
+        monkeypatch.setattr(harness, "cholesky", flaky)
+        monkeypatch.setattr(harness, "_householder_q", lambda G: fallbacks.append(1) or householder_q(G))
+        Q = _haar_columns(np.random.default_rng(5), 2048, 16)
+        ref = haar(np.random.default_rng(5), 2048, 16)
+        assert (len(calls), len(fallbacks)) == ((2, 0) if failing is None else (failing, 1))
+        assert np.abs(Q - ref).max() <= 1e-13
 
 
 class TestLoadCsv:
