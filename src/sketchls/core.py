@@ -11,8 +11,8 @@ import ctypes
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -49,6 +49,9 @@ _PASS_ROWS = 512
 _held_lock = threading.Lock()
 _held = 0
 _held_counts = ()
+
+# per thread: ``submit`` of the _split_worker context that thread has open
+_split = threading.local()
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -120,14 +123,40 @@ def _one_blas_thread():
                     put(count)
 
 
+@contextmanager
+def _split_worker():
+    """Open, for the calling thread, one worker that every ``_halves`` and
+    ``_pipelined`` split it runs until the block ends shares. The worker, a
+    one-thread pool, starts with the first split that needs it, and with it
+    a ``_one_blas_thread`` hold, so that each half's BLAS calls do not start
+    threads of their own on cores the other half is using; both end with the
+    block. A nested block reuses the open worker. A split run with no block
+    open opens its own, so it starts and joins a worker of its own."""
+    if getattr(_split, "submit", None) is not None:
+        yield
+        return
+    with ExitStack() as stack:
+        pool = None
+
+        def submit(fn, *args):
+            nonlocal pool
+            if pool is None:
+                stack.enter_context(_one_blas_thread())
+                pool = stack.enter_context(ThreadPoolExecutor(1))
+            return pool.submit(fn, *args)
+
+        _split.submit = submit
+        try:
+            yield
+        finally:
+            _split.submit = None
+
+
 def _halves(work, items):
     """``(work(items[:k]), work(items[k:]))`` with k = len(items) // 2: the
-    first half in the worker of a one-thread pool that this call starts and
-    joins, the rest in the caller. An error on either side is raised once
-    both halves are done. With k = 0 the caller runs both and no thread
-    starts. While a worker runs, the bundled OpenBLAS libraries are held at
-    one thread (``_one_blas_thread``), so that each half's BLAS calls do
-    not start threads of their own on cores the other half is using.
+    first half in the calling thread's ``_split_worker``, the rest in the
+    caller. An error on either side is raised once both halves are done.
+    With k = 0 the caller runs both and no thread starts.
 
     The halves overlap only where ``work`` releases the GIL: numpy's
     ``matmul`` above a loop size of 500 (see ``_PASS_ROWS``), its ufuncs and
@@ -137,34 +166,39 @@ def _halves(work, items):
     k = len(items) // 2
     if not k:
         return work(items[:0]), work(items)
-    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
-        first = pool.submit(work, items[:k])
-        last = work(items[k:])
+    with _split_worker():
+        first = _split.submit(work, items[:k])
+        try:
+            last = work(items[k:])
+        finally:
+            wait((first,))
     return first.result(), last
 
 
 def _pipelined(produce, use, items) -> None:
     """``use(produce(item))`` for each of ``items`` in order, with the next
-    ``produce`` running in the worker of a one-thread pool that this call
-    starts and joins while the caller runs ``use`` on the current one. The
-    ``produce`` calls run one at a time and in order, and so do the ``use``
-    calls; ``produce(items[k + 1])`` starts only once ``use`` of item k - 1
-    has returned, so two buffers taken in turn suffice. An error on either
-    side is raised once the worker is idle. With fewer than two items the
-    caller runs everything and no thread starts. Like ``_halves``, it holds
-    the bundled OpenBLAS libraries at one thread while the worker runs."""
+    ``produce`` running in the calling thread's ``_split_worker`` while the
+    caller runs ``use`` on the current one. The ``produce`` calls run one at
+    a time and in order, and so do the ``use`` calls; ``produce(items[k +
+    1])`` starts only once ``use`` of item k - 1 has returned, so two
+    buffers taken in turn suffice. An error on either side is raised once
+    the worker is idle. With fewer than two items the caller runs
+    everything and no thread starts."""
     items = list(items)
     if len(items) < 2:
         for item in items:
             use(produce(item))
         return
-    with _one_blas_thread(), ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(produce, items[0])
-        for item in items[1:]:
-            made = pending.result()
-            pending = pool.submit(produce, item)
-            use(made)
-        use(pending.result())
+    with _split_worker():
+        pending = _split.submit(produce, items[0])
+        try:
+            for item in items[1:]:
+                made = pending.result()
+                pending = _split.submit(produce, item)
+                use(made)
+            use(pending.result())
+        finally:
+            wait((pending,))
 
 
 def _fold(r, blocks) -> np.ndarray:

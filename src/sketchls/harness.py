@@ -38,7 +38,7 @@ from .solvers import (
     GramSolver,
     SketchedProblem,
     _converged_lsqr,
-    _r_factor,
+    blendenpik_preconditioner,
     default_mu,
 )
 
@@ -85,8 +85,8 @@ _METHOD_TABLE = {
     "rpc": (True, _spectral, _rpc),
     "blendenpik": (
         True,
-        lambda p, sp, o: _r_factor(sp.P),
-        lambda p, sp, o, pre: _converged_lsqr(p.A, p.b, *pre, o.lsqr_tol),
+        lambda p, sp, o: blendenpik_preconditioner(sp.P),
+        lambda p, sp, o, R: _converged_lsqr(p.A, p.b, R, o.lsqr_tol),
     ),
 }
 METHODS = tuple(_METHOD_TABLE)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, svdvals
+from scipy.linalg import cho_solve, cholesky, solve_triangular, svdvals
 from scipy.linalg.lapack import dpocon
 
 from .core import (
@@ -26,6 +26,7 @@ from .core import (
     _as_vector,
     _halves,
     _norm,
+    _split_worker,
     solve_ols,
 )
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
@@ -89,6 +90,18 @@ def _sigma_v(P) -> tuple[np.ndarray, np.ndarray]:
     return sigma, Vt.T
 
 
+def _gated_cholesky(gram) -> np.ndarray:
+    """Upper Cholesky factor R, ``R^T R = gram``, with zeros below the
+    diagonal. Raises ``LinAlgError`` when the factorization fails or when
+    LAPACK ``dpocon``'s reciprocal condition estimate of ``gram`` is below
+    machine epsilon: there gram is numerically singular."""
+    R = cholesky(gram)
+    rcond, _ = dpocon(R, np.linalg.norm(gram, 1))
+    if not rcond >= np.finfo(float).eps:
+        raise np.linalg.LinAlgError(f"reciprocal condition estimate {rcond:.1e}")
+    return R
+
+
 class GramSolver:
     """Solves ``(P^T P + mu I) x = rhs`` via Cholesky.
 
@@ -108,10 +121,7 @@ class GramSolver:
         if self.mu > 0:
             gram = gram + self.mu * np.eye(P.shape[1])
         try:
-            self._cho = cho_factor(gram)  # upper, dpocon's default
-            rcond, _ = dpocon(self._cho[0], np.linalg.norm(gram, 1))
-            if not rcond >= np.finfo(float).eps:
-                raise np.linalg.LinAlgError(f"reciprocal condition estimate {rcond:.1e}")
+            self._cho = (_gated_cholesky(gram), False)
             self._svd = None
         except np.linalg.LinAlgError as exc:
             self._cho = None
@@ -176,22 +186,27 @@ def default_mu(sp: SketchedProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _r_factor(P) -> tuple[np.ndarray, float]:
-    """:func:`blendenpik_preconditioner`'s R and ``||R||_2``, the largest
-    singular value that its rank gate reads anyway."""
+def blendenpik_preconditioner(P) -> np.ndarray:
+    """Upper-triangular R with ``R^T R = P^T P`` for the sketched matrix P,
+    so that ``A R^{-1}`` is well conditioned when P embeds range(A).
+
+    R is the Cholesky factor of ``P^T P`` under ``GramSolver``'s gate
+    (``_gated_cholesky``). Where that gate fails, R is from a Householder
+    QR of P instead, with P's rank checked on R's singular values: their
+    ratio at most ``RANK_REL_TOL`` raises :class:`SingularMatrixError`.
+    """
     P = _as_matrix(P)
     if P.shape[0] < P.shape[1]:
         raise DimensionError("preconditioner needs m >= N")
+    try:
+        return _gated_cholesky(P.T @ P)
+    except np.linalg.LinAlgError:
+        pass
     R = np.linalg.qr(P, mode="r")
     svals = svdvals(R, check_finite=False)
     if svals[-1] <= RANK_REL_TOL * svals[0]:
         raise SingularMatrixError("sketched matrix produced a singular R factor")
-    return R, float(svals[0])
-
-
-def blendenpik_preconditioner(P) -> np.ndarray:
-    """Upper-triangular R from a QR factorization of the sketched matrix."""
-    return _r_factor(P)[0]
+    return R
 
 
 def _pass_over_a(A, z, alpha, u) -> np.ndarray:
@@ -221,102 +236,103 @@ def _pass_over_a(A, z, alpha, u) -> np.ndarray:
 
 
 def preconditioned_lsqr(A, b, R=None, tol: float = 1e-6, max_iter: int = 500):
-    """LSQR on ``min ||A x - b||`` with an optional right preconditioner R.
+    """LSQR on ``min ||A x - b||`` with an optional right preconditioner R,
+    upper triangular.
 
     Stops on ``||A^T (A x - b)|| <= tol * ||A^T b||``, confirmed on the true
     gradient. LSQR iterates on ``A R^{-1}`` in ``y = R x``, and its
-    recurrence carries the preconditioned gradient ``||(A R^{-1})^T r_k|| =
-    |phibar_{k+1} alpha_{k+1} c_k|`` for free (Paige & Saunders 1982). As
-    ``A^T r = R^T (A R^{-1})^T r``, the true gradient is at most ``||R||_2``
-    times that (``||R||_2`` is taken once per call; 1 when R is None). While
-    this bound is above the tolerance no iterate is formed, so an iteration
-    costs one pass over A (:func:`_pass_over_a`): ``A z - alpha u`` and A^T
-    of the result are formed block by block, half of the blocks on a second
-    thread.
+    recurrence gives the preconditioned gradient ``(A R^{-1})^T r_k =
+    phibar_{k+1} alpha_{k+1} c_k v_{k+1}`` for free (Paige & Saunders
+    1982). As ``A^T r = R^T (A R^{-1})^T r``, the true gradient is ``||A^T
+    r_k|| = |phibar_{k+1} alpha_{k+1} c_k| ||R^T v_{k+1}||``, which costs
+    O(N^2). While it is above the tolerance no iterate is formed, so an
+    iteration costs one pass over A (:func:`_pass_over_a`): ``A z - alpha
+    u`` and A^T of the result are formed block by block, half of the blocks
+    on a second thread. u is kept unnormalized: the pass scales it with the
+    next coefficient instead. The solve holds one ``_split_worker``, so its
+    passes share one second thread and one BLAS hold.
 
-    Once the bound passes (always on an exact breakdown, where it is 0), x is
-    formed and the true gradient is checked once; converged is True only if
-    that check passes. If it fails, the recurrence has drifted from the
-    true residual (at cond(A) near 1e8 the products with ``R^{-1}`` put the
-    attainable gradient near 1e-10 relative), so LSQR restarts from that x
-    on its residual ``b - A x``, reusing the gradient just computed.
+    Once the recurrence's gradient passes (always on an exact breakdown,
+    where it is 0), x is formed and the true gradient is checked by a pass
+    over A; converged is True only if that check passes. If it fails, the
+    recurrence has drifted from the true residual (at cond(A) near 1e8 the
+    products with ``R^{-1}`` put the attainable gradient near 1e-10
+    relative), so LSQR restarts from that x on its residual ``b - A x``,
+    reusing the gradient just computed. ``A^T b`` is that check at x = 0.
 
     Returns ``(x, iterations, converged)``, iterations counted over all
     restarts. Without convergence, x is the iterate with the smallest
-    gradient bound seen: an iterate whose true gradient was checked counts
-    with that value, and x = 0 counts with ``||A^T b||``. Norms use BLAS
-    ``nrm2``, which does not overflow on data scaled by 1e+-150.
+    gradient seen: the recurrence's, or the true one where it was checked,
+    with x = 0 at ``||A^T b||``. Norms use BLAS ``nrm2``, which does not
+    overflow on data scaled by 1e+-150.
     """
-    norm_R = 1.0 if R is None else float(svdvals(R, check_finite=False)[0])
-    return _lsqr(A, b, R, norm_R, tol, max_iter)
-
-
-def _lsqr(A, b, R, norm_R, tol, max_iter):
-    """:func:`preconditioned_lsqr` with ``||R||_2`` given as ``norm_R``."""
     A = _as_matrix(A)
     b = _as_vector(b, length=A.shape[0], name="b")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
 
     if R is None:
-        solve_R = solve_Rt = lambda z: z
+        solve_R = solve_Rt = times_Rt = lambda z: z
     else:
-        solve_R = lambda z: solve_triangular(R, z)
-        solve_Rt = lambda z: solve_triangular(R, z, trans="T")
+        solve_R = lambda z: solve_triangular(R, z, check_finite=False)
+        solve_Rt = lambda z: solve_triangular(R, z, trans="T", check_finite=False)
+        times_Rt = lambda z: R.T @ z
 
-    x = np.zeros(A.shape[1])  # the last iterate whose true gradient was checked
-    r, g = b, A.T @ b  # its residual b - A x and gradient A^T r
-    g_norm = _norm(g)
-    if not math.isfinite(g_norm):
-        raise ValueError("A^T b is not finite: A and b must be finite")
-    target = tol * g_norm
-    if g_norm <= target:
-        return x, 0, True
-    best_bound, best_x, best_y = g_norm, x, None
-    restart = True
+    with _split_worker():
+        x = np.zeros(A.shape[1])  # the last iterate whose true gradient was checked
+        r = b.copy()
+        g = _pass_over_a(A, x, -1.0, r)  # its residual r = b - A x and gradient A^T r
+        g_norm = _norm(g)
+        if not math.isfinite(g_norm):
+            raise ValueError("A^T b is not finite: A and b must be finite")
+        target = tol * g_norm
+        if g_norm <= target:
+            return x, 0, True
+        best_grad, best_x, best_y = g_norm, x, None
+        restart = True
 
-    for k in range(1, max_iter + 1):
-        if restart:  # LSQR from y = 0 on min ||A R^{-1} y - r||
-            beta = _norm(r)
-            u = r / beta
-            v = solve_Rt(g / beta)
+        for k in range(1, max_iter + 1):
+            if restart:  # LSQR from y = 0 on min ||A R^{-1} y - r||
+                beta = _norm(r)
+                u, scale = r, beta  # u is scale times LSQR's unit vector
+                v = solve_Rt(g / beta)
+                alpha = _norm(v)
+                v /= alpha
+                w = v.copy()
+                y = np.zeros(A.shape[1])
+                phibar, rhobar = beta, alpha
+                restart = False
+
+            atu = _pass_over_a(A, solve_R(v), alpha / scale, u)
+            beta = _norm(u)
+            if beta > 0:
+                atu /= beta
+                scale = beta
+            v = solve_Rt(atu) - beta * v
             alpha = _norm(v)
-            v /= alpha
-            w = v.copy()
-            y = np.zeros(A.shape[1])
-            phibar, rhobar = beta, alpha
-            restart = False
+            if alpha > 0:
+                v /= alpha
+            rho = math.hypot(rhobar, beta)
+            cs, sn = rhobar / rho, beta / rho
+            theta = sn * alpha
+            rhobar = -cs * alpha
+            phi = cs * phibar
+            phibar = sn * phibar
+            y = y + (phi / rho) * w
+            w = v - (theta / rho) * w
 
-        atu = _pass_over_a(A, solve_R(v), alpha, u)
-        beta = _norm(u)
-        if beta > 0:
-            u /= beta
-            atu /= beta
-        v = solve_Rt(atu) - beta * v
-        alpha = _norm(v)
-        if alpha > 0:
-            v /= alpha
-        rho = math.hypot(rhobar, beta)
-        cs, sn = rhobar / rho, beta / rho
-        theta = sn * alpha
-        rhobar = -cs * alpha
-        phi = cs * phibar
-        phibar = sn * phibar
-        y = y + (phi / rho) * w
-        w = v - (theta / rho) * w
-
-        bound = norm_R * (phibar * alpha * abs(cs))
-        if bound <= target:
-            x = x + solve_R(y)
-            r = b.copy()
-            g = _pass_over_a(A, -x, -1.0, r)  # r = b - A x, g = A^T r
-            bound = _norm(g)
-            if bound <= target:
-                return x, k, True
-            y, restart = None, True
-        if bound < best_bound:
-            best_bound, best_x, best_y = bound, x, y
-    return (best_x if best_y is None else best_x + solve_R(best_y)), max_iter, False
+            grad = phibar * alpha * abs(cs) * _norm(times_Rt(v))  # ||A^T r_k||
+            if grad <= target:
+                x = x + solve_R(y)
+                r = b.copy()
+                g = _pass_over_a(A, -x, -1.0, r)
+                grad = _norm(g)
+                if grad <= target:
+                    return x, k, True
+                y, restart = None, True
+            if grad < best_grad:
+                best_grad, best_x, best_y = grad, x, y
+        return (best_x if best_y is None else best_x + solve_R(best_y)), max_iter, False
 
 
 def solve_blendenpik(
@@ -325,16 +341,16 @@ def solve_blendenpik(
     lsqr_tol: float = 1e-6,
     max_iter: int = 500,
 ) -> np.ndarray:
-    """Uncompressed solve via LSQR, right-preconditioned by R from QR(Phi A)."""
-    R, norm_R = _r_factor(op.apply(problem.A))
-    return _converged_lsqr(problem.A, problem.b, R, norm_R, lsqr_tol, max_iter)
+    """Uncompressed solve via LSQR, right-preconditioned by
+    :func:`blendenpik_preconditioner` of ``Phi A``."""
+    R = blendenpik_preconditioner(op.apply(problem.A))
+    return _converged_lsqr(problem.A, problem.b, R, lsqr_tol, max_iter)
 
 
-def _converged_lsqr(A, b, R, norm_R, tol, max_iter=500):
-    """:func:`preconditioned_lsqr`, given ``norm_R = ||R||_2``, that raises
-    :class:`ConvergenceError`, carrying the best iterate, instead of
-    returning an unconverged x."""
-    x, iters, converged = _lsqr(A, b, R, norm_R, tol, max_iter)
+def _converged_lsqr(A, b, R, tol, max_iter=500):
+    """:func:`preconditioned_lsqr` that raises :class:`ConvergenceError`,
+    carrying the best iterate, instead of returning an unconverged x."""
+    x, iters, converged = preconditioned_lsqr(A, b, R, tol, max_iter)
     if not converged:
         raise ConvergenceError(
             f"LSQR did not reach tolerance {tol:g} in {max_iter} iterations",

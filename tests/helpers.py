@@ -1,8 +1,9 @@
 """Shared construction utilities for the test suite."""
 
 import numpy as np
+import pytest
 
-from sketchls import LSProblem
+from sketchls import LSProblem, core
 
 
 def planted_problem(rng, M, N, residual_fraction=0.5, condition=None):
@@ -36,3 +37,10 @@ def haar(rng, rows, cols):
     """Orthonormal columns from the Haar measure (QR of a Gaussian, signs fixed)."""
     Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
     return Q * np.sign(np.diag(R))
+
+
+def blas_counts():
+    """Thread count of each bundled OpenBLAS; skips where none is loaded."""
+    if not core._openblas():
+        pytest.skip("no bundled OpenBLAS loaded")
+    return [get() for get, _ in core._openblas()]

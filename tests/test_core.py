@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve, qr, svdvals
 
-from helpers import planted_problem, random_problem
+from helpers import blas_counts, planted_problem, random_problem
 from sketchls import (
     DegenerateInstanceError,
     DimensionError,
@@ -323,6 +323,22 @@ class TestTsqr:
             LSProblem(A=A, b=np.ones(300))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("where", ["A in the worker's half", "b in the caller's half"])
+    def test_rejects_nonfinite_data_in_either_half(self, monkeypatch, where):
+        # 300 x 5 in 13 blocks of 24 rows: row 10 is in the worker's first
+        # block, row 290 in the caller's last
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(19)
+        A, b = rng.standard_normal((300, 5)), rng.standard_normal(300)
+        if where.startswith("A"):
+            A[10, 3] = np.nan
+        else:
+            b[290] = np.inf
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^problem data must be finite$"):
+            LSProblem(A=A, b=b)
+        assert threading.active_count() == before
+
     def test_construction_stays_within_a_quarter_of_a(self):
         # 17 blocks of at most 1,008 rows; each thread holds one block and
         # an R, where one QR of the whole [A b] copied it
@@ -379,13 +395,6 @@ class TestNormalEquationsPass:
         problem.A, problem.b = A, np.ones(4096)
         with pytest.raises(RankDeficientError):
             solve_ols(problem, "normal-equations")
-
-
-def blas_counts():
-    """Thread count of each bundled OpenBLAS; skips where none is loaded."""
-    if not core._openblas():
-        pytest.skip("no bundled OpenBLAS loaded")
-    return [get() for get, _ in core._openblas()]
 
 
 class TestHalves:
@@ -571,3 +580,78 @@ class TestPipelined:
         core._pipelined(lambda item: item + 1, used.append, range(n))
         assert used == list(range(1, n + 1))
         assert starts == []
+
+
+class TestSplitWorker:
+    """Splits run while a thread holds ``_split_worker`` share its one worker
+    and its one BLAS hold, both started by the first split."""
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        start, starts = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        return starts
+
+    def test_splits_in_one_context_share_one_thread_and_one_hold(self, monkeypatch):
+        before, threads = blas_counts(), threading.active_count()
+        starts = self.count_starts(monkeypatch)
+        caller, workers, used = threading.current_thread(), set(), []
+
+        def work(part):
+            if threading.current_thread() is not caller:
+                workers.add(threading.current_thread())
+            return sum(part)
+
+        with core._split_worker():
+            assert starts == [] and blas_counts() == before  # started by the first split
+            assert core._halves(work, range(5)) == (0 + 1, 2 + 3 + 4)
+            assert len(starts) == 1
+            assert blas_counts() == [1] * len(before)  # in the caller, between splits
+            core._pipelined(lambda k: work([k]), used.append, range(4))
+            assert core._halves(work, range(2)) == (0, 1)
+            assert blas_counts() == [1] * len(before)
+        assert len(starts) == 1 and len(workers) == 1
+        assert used == [0, 1, 2, 3]
+        assert blas_counts() == before
+        assert threading.active_count() == threads
+
+    def test_a_nested_context_reuses_the_outer_worker(self, monkeypatch):
+        threads = threading.active_count()
+        starts = self.count_starts(monkeypatch)
+        caller, workers = threading.current_thread(), []
+
+        def work(part):
+            if threading.current_thread() is not caller:
+                workers.append(threading.current_thread())
+
+        with core._split_worker():
+            core._halves(work, range(2))
+            with core._split_worker():
+                core._halves(work, range(2))
+            core._halves(work, range(2))
+            assert threading.active_count() == threads + 1
+        assert len(starts) == 1
+        assert len(workers) == 3 and workers[0] is workers[1] is workers[2]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_waits_for_both_halves_and_the_context_runs_on(self, monkeypatch, failing):
+        before, threads = blas_counts(), threading.active_count()
+        starts = self.count_starts(monkeypatch)
+        caller, done = threading.current_thread(), []
+
+        def work(part):
+            in_worker = threading.current_thread() is not caller
+            if in_worker == (failing == "worker"):
+                raise RuntimeError(f"{failing} failed")
+            time.sleep(0.05)  # the failing half ends first
+            done.append(list(part))
+
+        with core._split_worker():
+            with pytest.raises(RuntimeError, match=f"{failing} failed"):
+                core._halves(work, range(4))
+            assert done == [[2, 3] if failing == "worker" else [0, 1]]
+            assert core._halves(lambda part: list(part), range(4)) == ([0, 1], [2, 3])
+        assert len(starts) == 1
+        assert blas_counts() == before
+        assert threading.active_count() == threads

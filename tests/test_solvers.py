@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import planted_problem, random_problem
+from helpers import blas_counts, planted_problem, random_problem
 from sketchls import (
     ConvergenceError,
     LSProblem,
@@ -408,6 +409,106 @@ class TestRobustCls:
 
 
 class TestBlendenpik:
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Wrap ``_pass_over_a``: returns the list of LSQR's iteration passes'
+        z = R^-1 v, and the list of its gradient checks (the passes with
+        alpha = -1) as ``(iterate x, ||A^T r|| of the check, recurrence
+        gradient)``, the last read from the solver's local ``grad``, which
+        holds it when the check is called (None for A^T b at x = 0)."""
+        inner, zs, checks = solvers._pass_over_a, [], []
+
+        def recorded(A, z, alpha, u):
+            g = inner(A, z, alpha, u)
+            if alpha == -1.0:
+                checks.append((-z, sla.norm(g), sys._getframe(1).f_locals.get("grad")))
+            else:
+                zs.append(z.copy())
+            return g
+
+        monkeypatch.setattr(solvers, "_pass_over_a", recorded)
+        return zs, checks
+
+    @staticmethod
+    def stop_instance():
+        problem, _ = planted_problem(np.random.default_rng(52), 20_000, 30, condition=1e4)
+        op = make_sketch(SketchSpec(kind="count", m=120, M=20_000, seed=53))
+        return problem.A, problem.b, blendenpik_preconditioner(op.apply(problem.A))
+
+    def test_stops_at_the_first_iterate_that_meets_tol(self, monkeypatch):
+        """The j-th LSQR iterate minimizes ||A x - b|| over the span of the
+        first j passes' z = R^-1 v; rebuilt that way, the first iterate whose
+        true gradient meets tol is the one returned, confirmed by one check."""
+        A, b, R = self.stop_instance()
+        zs, checks = self.record_passes(monkeypatch)
+        tol = 1e-10
+        x, iters, converged = preconditioned_lsqr(A, b, R=R, tol=tol)
+        assert converged and len(zs) == iters and len(checks) == 2  # A^T b, then the stop
+        gradients = []
+        for j in range(1, iters + 1):
+            Z = np.column_stack(zs[:j])
+            x_j = Z @ np.linalg.lstsq(A @ Z, b, rcond=None)[0]
+            gradients.append(relative_gradient(A, b, x_j))
+        assert min(gradients[:-1]) > tol >= gradients[-1], gradients[-3:]
+        assert relative_gradient(A, b, x) <= tol
+
+    def test_stop_gradient_matches_the_true_gradient(self, monkeypatch):
+        A, b, R = self.stop_instance()
+        _, checks = self.record_passes(monkeypatch)
+        x, _, converged = preconditioned_lsqr(A, b, R=R, tol=1e-10)
+        assert converged
+        checked_x, checked, recurrence = checks[-1]
+        assert_array_equal(checked_x, x)
+        recomputed = sla.norm(A.T @ (A @ x - b))
+        assert abs(checked - recomputed) <= 1e-6 * recomputed
+        assert abs(recurrence - recomputed) <= 0.01 * recomputed
+
+    def test_a_solve_starts_one_thread_and_holds_blas_between_passes(self, monkeypatch):
+        """4,000 rows in 8 blocks of 512: every pass splits, and all of them
+        share the one worker and BLAS hold of the solve."""
+        problem, _ = planted_problem(np.random.default_rng(55), 4000, 10, condition=1e2)
+        op = make_sketch(SketchSpec(kind="count", m=40, M=4000, seed=56))
+        R = blendenpik_preconditioner(op.apply(problem.A))
+        before, threads = blas_counts(), threading.active_count()
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 0)
+        inner, between = solvers._pass_over_a, []
+
+        def recorded(*args):
+            g = inner(*args)
+            between.append(blas_counts())  # in the caller, before the next pass
+            return g
+
+        monkeypatch.setattr(solvers, "_pass_over_a", recorded)
+        start, starts = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+        _, iters, converged = preconditioned_lsqr(problem.A, problem.b, R=R, tol=1e-10)
+        assert converged and len(between) >= iters + 2
+        assert between == [[1] * len(before)] * len(between)
+        assert len(starts) == 1
+        assert blas_counts() == before
+        assert threading.active_count() == threads
+
+    def test_cholesky_factor_matches_householder_qr(self):
+        """A well-conditioned P passes the Cholesky gate: R is upper
+        triangular with a positive diagonal, and equals a Householder QR's R
+        up to the signs of its rows."""
+        P = np.random.default_rng(57).standard_normal((200, 10))
+        R = blendenpik_preconditioner(P)
+        ref = np.linalg.qr(P, mode="r")
+        assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0)
+        assert np.abs(np.abs(R) - np.abs(ref)).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_a_failed_gate_falls_back_to_householder_without_a_warning(self, monkeypatch):
+        # the gate GramSolver shares: it falls back too, with its warning
+        P = np.random.default_rng(58).standard_normal((200, 10))
+        monkeypatch.setattr(solvers, "dpocon", lambda c, anorm: (0.0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = blendenpik_preconditioner(P)
+        assert R.tobytes() == np.linalg.qr(P, mode="r").tobytes()
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            GramSolver(P)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_rejects_bad_tolerance(self, tol):
         problem = random_problem(np.random.default_rng(20), 30, 3)
