@@ -18,7 +18,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_factor, cho_solve, norm, qr, solve_triangular, svdvals
+from scipy.linalg import cho_factor, cho_solve, cholesky, norm, qr, solve_triangular, svdvals
 
 from .exceptions import (
     DegenerateInstanceError,
@@ -29,19 +29,20 @@ from .exceptions import (
 # Relative singular-value cutoff below which a matrix counts as rank deficient.
 RANK_REL_TOL = 1e-12
 
-# bytes of one working block, the one budget of the TSQR of [A b], the three
-# passes over A's row blocks (the normal equations', LSQR's and a count
-# sketch's), the ros transform, and a synthetic instance's passes over its
-# Gaussian G (the draw with the first Gram, the two CholeskyQR passes) and
-# over U (the product A = U diag(sigma) V^T): it fits a per-core L2 cache and
-# makes numpy's per-call cost negligible. The TSQR's and the count pass's two
-# halves take half a budget each, as both may copy a block.
+# bytes of one working block, the one budget of the TSQR of [A b], the four
+# passes over A's row blocks (the normal equations', LSQR's, a count sketch's
+# and blendenpik's Gram of A R^-1), the ros transform, and a synthetic
+# instance's passes over its Gaussian G (the draw with the first Gram, the two
+# CholeskyQR passes) and over U (the product A = U diag(sigma) V^T): it fits a
+# per-core L2 cache and makes numpy's per-call cost negligible. The TSQR's and
+# the count pass's two halves take half a budget each, as both may copy a
+# block.
 _BLOCK_BYTES = 1 << 20
 
-# fewest rows of a block of the normal equations', LSQR's and the count pass,
-# and of a synthetic instance's passes: numpy's matmul releases the GIL only
-# above a loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two halves
-# of a pass over smaller blocks would take turns instead of overlapping
+# fewest rows of a block of the normal equations', LSQR's, the count and the
+# Gram pass, and of a synthetic instance's passes: numpy's matmul releases the
+# GIL only above a loop size of 500 (NPY_BEGIN_THREADS_THRESHOLDED), so the two
+# halves of a pass over smaller blocks would take turns instead of overlapping
 _PASS_ROWS = 512
 
 # splits now running (see _one_blas_thread), and the thread count of each
@@ -201,6 +202,54 @@ def _pipelined(produce, use, items) -> None:
             wait((pending,))
 
 
+def _row_step(cols: int) -> int:
+    """Rows of a block of a pass over a matrix of ``cols`` columns: about
+    ``_BLOCK_BYTES``, at least ``_PASS_ROWS``."""
+    return max(_PASS_ROWS, _BLOCK_BYTES // (8 * cols))
+
+
+def _times(X, R, out=None, gram=False, b=None):
+    """``out <- X R`` block by block (``_row_step``), ``out`` X itself or
+    another array of X's shape, on both cores: ``_halves`` gives the first
+    half of the row blocks to its worker and the rest to the caller. With
+    ``gram`` it returns the sum of ``out_k^T out_k`` over the blocks, each
+    added while its block is in cache into a partial per half. With ``out``
+    None it returns that sum alone: each half writes its blocks into one
+    block of scratch of its own, so no array of X's size is made; there a
+    vector ``b`` of X's rows goes into a last column of the scratch, so the
+    sum is the Gram of ``[X R  b]``, whose last column holds ``(X R)^T b``.
+    The split depends on the shapes alone."""
+    step, n = _row_step(X.shape[1]), R.shape[1]
+    gram = gram or out is None
+    w = n + (b is not None)
+
+    def work(starts):
+        total = np.zeros((w, w)) if gram else None
+        scratch = np.empty((step, w)) if out is None and starts else None
+        for lo in starts:
+            X_k = X[lo : lo + step]
+            if out is None:
+                out_k = scratch[: len(X_k)]
+                if b is not None:
+                    out_k[:, n] = b[lo : lo + step]
+            else:
+                out_k = out[lo : lo + step]
+            np.matmul(X_k, R, out=out_k[:, :n])
+            if gram:
+                total += out_k.T @ out_k
+        return total
+
+    first, last = _halves(work, range(0, len(X), step))
+    return first + last if gram else None
+
+
+def _inverse_chol(gram) -> np.ndarray:
+    """``R^-1`` of the Cholesky factor ``R^T R = gram``; LinAlgError where
+    ``gram`` is not numerically positive definite."""
+    R = cholesky(gram, overwrite_a=True, check_finite=False)
+    return solve_triangular(R, np.eye(len(R)), check_finite=False)
+
+
 def _fold(r, blocks) -> np.ndarray:
     """R of a Householder QR of ``r`` stacked on ``[A_k b_k]`` for each
     ``(A_k, b_k)`` in ``blocks``, folded one block at a time: ``r <-
@@ -342,7 +391,7 @@ def solve_ols(problem: LSProblem, method: str = "factorized") -> np.ndarray:
         r_aug = problem._r_aug
         return solve_triangular(r_aug[:N, :N], r_aug[:N, N], check_finite=False)
     if method == "normal-equations":
-        step = max(_PASS_ROWS, _BLOCK_BYTES // (8 * N))
+        step = _row_step(N)
 
         def work(starts):
             gram, rhs = np.zeros((N, N)), np.zeros(N)

@@ -19,14 +19,14 @@ from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError
 
 from .core import (
-    _BLOCK_BYTES,
-    _PASS_ROWS,
     LSProblem,
-    _halves,
+    _inverse_chol,
     _pipelined,
+    _row_step,
+    _times,
     make_report,
     relative_residual_profile,
     solve_ols,
@@ -37,7 +37,7 @@ from .sketch import KINDS, SketchSpec, make_sketch
 from .solvers import (
     GramSolver,
     SketchedProblem,
-    _converged_lsqr,
+    _sketched_cholesky_qr,
     blendenpik_preconditioner,
     default_mu,
 )
@@ -86,48 +86,13 @@ _METHOD_TABLE = {
     "blendenpik": (
         True,
         lambda p, sp, o: blendenpik_preconditioner(sp.P),
-        lambda p, sp, o, R: _converged_lsqr(p.A, p.b, R, o.lsqr_tol),
+        lambda p, sp, o, R: _sketched_cholesky_qr(p.A, p.b, sp.c, R, o.lsqr_tol),
     ),
 }
 METHODS = tuple(_METHOD_TABLE)
 UNSKETCHED = tuple(name for name, (sketched, _, _) in _METHOD_TABLE.items() if not sketched)
 
 _PROBLEM_STREAM = 101  # spawn key for the synthetic-problem generator
-
-
-def _row_step(cols: int) -> int:
-    """Rows of a block of the passes below: about ``_BLOCK_BYTES``, at least
-    ``_PASS_ROWS``."""
-    return max(_PASS_ROWS, _BLOCK_BYTES // (8 * cols))
-
-
-def _times(X, R, out, gram=False):
-    """``out <- X R`` block by block, ``out`` X itself or another array of
-    X's shape, on both cores: ``_halves`` gives the first half of the row
-    blocks to its worker and the rest to the caller. With ``gram`` it
-    returns the sum of ``out_k^T out_k`` over the blocks, each added while
-    its block is in cache into a partial per half. The split depends on the
-    shapes alone."""
-    step = _row_step(X.shape[1])
-
-    def work(starts):
-        total = np.zeros((R.shape[1],) * 2) if gram else None
-        for lo in starts:
-            out_k = out[lo : lo + step]
-            np.matmul(X[lo : lo + step], R, out=out_k)
-            if gram:
-                total += out_k.T @ out_k
-        return total
-
-    first, last = _halves(work, range(0, len(X), step))
-    return first + last if gram else None
-
-
-def _inverse_chol(gram) -> np.ndarray:
-    """``R^-1`` of the Cholesky factor ``R^T R = gram``; LinAlgError where
-    ``gram`` is not numerically positive definite."""
-    R = cholesky(gram, overwrite_a=True, check_finite=False)
-    return solve_triangular(R, np.eye(len(R)), check_finite=False)
 
 
 def _householder_q(G) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Covers full compression (both sides sketched), partial compression (only
 the quadratic term sketched), their ridge-regularized forms, and a
-sketch-preconditioned LSQR baseline for the uncompressed problem. Both
+sketch-preconditioned exact solve of the uncompressed problem (blendenpik:
+CholeskyQR through the sketch's factor, with LSQR as its fallback). Both
 robust variants live in :mod:`sketchls.rpc`.
 """
 
@@ -27,6 +28,7 @@ from .core import (
     _halves,
     _norm,
     _split_worker,
+    _times,
     solve_ols,
 )
 from .exceptions import ConvergenceError, DimensionError, SingularMatrixError
@@ -182,7 +184,7 @@ def default_mu(sp: SketchedProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sketch-preconditioned LSQR
+# sketch-preconditioned exact solves
 # ---------------------------------------------------------------------------
 
 
@@ -341,10 +343,59 @@ def solve_blendenpik(
     lsqr_tol: float = 1e-6,
     max_iter: int = 500,
 ) -> np.ndarray:
-    """Uncompressed solve via LSQR, right-preconditioned by
-    :func:`blendenpik_preconditioner` of ``Phi A``."""
-    R = blendenpik_preconditioner(op.apply(problem.A))
-    return _converged_lsqr(problem.A, problem.b, R, lsqr_tol, max_iter)
+    """Uncompressed solve ``min ||A x - b||`` to ``||A^T (A x - b)|| <=
+    lsqr_tol * ||A^T b||``, from ``op``'s one pass (``op._pass``, which also
+    gives ``c = A^T b``) and R_s = :func:`blendenpik_preconditioner` of
+    ``Phi A``: :func:`_sketched_cholesky_qr`, which falls back to LSQR
+    right-preconditioned by R_s. The solve holds one ``_split_worker``."""
+    with _split_worker():
+        P, _, c = op._pass(problem.A, problem.b)
+        R_s = blendenpik_preconditioner(P)
+        return _sketched_cholesky_qr(problem.A, problem.b, c, R_s, lsqr_tol, max_iter)
+
+
+def _sketched_cholesky_qr(A, b, c, R_s, tol, max_iter=500) -> np.ndarray:
+    """``min ||A x - b||`` from ``c = A^T b`` and the sketch's factor R_s, to
+    ``||A^T (b - A x)|| <= tol * ||c||``, in two passes over A when it
+    succeeds.
+
+    R_s makes ``Q = A R_s^-1`` well conditioned, so CholeskyQR on Q is
+    stable (Fan, Guo & Lin 2021; Balabanov 2022): one pass (``_times``,
+    with R_s's explicit inverse) sums the Gram of ``[Q b]`` block by block
+    without storing Q, and ``R = R_c R_s``, with R_c the Cholesky factor of
+    ``Q^T Q`` under ``_gated_cholesky``, is an R factor of A. Then ``x =
+    R^-1 R_c^-T Q^T b``: unlike the seminormal ``R^-1 R^-T c``, whose
+    gradient grows with cond(A)^2, it keeps the gradient near the TSQR's.
+    A pass over A (:func:`_pass_over_a`) checks the gradient ``g = A^T (b -
+    A x)``. While the check fails, ``x <- x + R^-1 R^-T g`` refines x with
+    the gradient just checked, as long as each step at least halves it.
+    Where Q^T Q fails its gate or a step does not halve the gradient, the
+    result is :func:`_converged_lsqr` from x = 0 with R_s, bit for bit, and
+    so is its :class:`ConvergenceError`. The solve holds one
+    ``_split_worker``.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    N = A.shape[1]
+    with _split_worker():
+        gram = _times(A, solve_triangular(R_s, np.eye(N), check_finite=False), b=b)
+        try:
+            R_c = _gated_cholesky(gram[:N, :N])
+        except np.linalg.LinAlgError:
+            return _converged_lsqr(A, b, R_s, tol, max_iter)
+        R = R_c @ R_s
+        h = solve_triangular(R_c, gram[:N, N], trans="T", check_finite=False)
+        x = solve_triangular(R, h, check_finite=False)
+        target, last = tol * _norm(c), math.inf
+        while True:
+            r = b.copy()
+            g = _pass_over_a(A, -x, -1.0, r)  # A^T (b - A x)
+            grad = _norm(g)
+            if grad <= target:
+                return x
+            if not grad <= 0.5 * last:
+                return _converged_lsqr(A, b, R_s, tol, max_iter)
+            x, last = x + cho_solve((R, False), g, check_finite=False), grad
 
 
 def _converged_lsqr(A, b, R, tol, max_iter=500):

@@ -397,6 +397,38 @@ class TestNormalEquationsPass:
             solve_ols(problem, "normal-equations")
 
 
+class TestTimes:
+    """``core._times`` forms X R block by block on two threads, into ``out``
+    or, in its Gram-only form, into one block of scratch per half."""
+
+    # 2,000 rows: four blocks of the 512-row floor, the last of 464 rows
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_gram_only_form_matches_the_stored_product(self, monkeypatch, layout):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(21)
+        X, b = TestNormalEquationsPass.layouts(rng, 2000, 6)[layout]
+        R = np.triu(rng.standard_normal((6, 6))) + 3 * np.eye(6)
+        out = np.empty((2000, 6))
+        gram = core._times(X, R, out, gram=True)
+        assert np.linalg.norm(out - X @ R) <= 1e-14 * np.linalg.norm(X @ R)
+        assert core._times(X, R).tobytes() == gram.tobytes()
+        XRb = np.column_stack([X @ R, b])
+        want = XRb.T @ XRb
+        assert np.linalg.norm(core._times(X, R, b=b) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_gram_only_form_stores_no_product(self):
+        # one 1 MiB block per half is 0.125 of X; X R would be all of it
+        rng = np.random.default_rng(22)
+        X, R = rng.standard_normal((2**14, 64)), np.eye(64)
+        tracemalloc.start()
+        try:
+            core._times(X, R, b=rng.standard_normal(2**14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * X.nbytes
+
+
 class TestHalves:
     def test_returns_each_half_in_order_and_joins(self):
         caller = threading.current_thread()

@@ -13,14 +13,18 @@ from sketchls import (
     DimensionError,
     ExperimentConfig,
     ProblemSource,
+    SketchSpec,
     TrialRecord,
     emit_profile,
     emit_timing_breakdown,
+    core,
     generate_synthetic,
     harness,
     load_csv,
     load_records,
+    make_sketch,
     run_experiment,
+    solve_blendenpik,
     solve_ols,
     split_rows,
 )
@@ -82,7 +86,7 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("coherence", ["incoherent", "semi-coherent"])
     def test_bit_equal_across_blocks(self, monkeypatch, coherence):
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)  # 3,000 rows: six blocks of 512
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)  # 3,000 rows: six blocks of 512
         p1 = generate_synthetic(3000, 20, 100.0, coherence, seed=6)
         p2 = generate_synthetic(3000, 20, 100.0, coherence, seed=6)
         assert p1.A.tobytes() == p2.A.tobytes() and p1.b.tobytes() == p2.b.tobytes()
@@ -144,7 +148,7 @@ class TestHaarColumns:
     @pytest.mark.parametrize("rows, cols", [(500, 40), (80, 40), (79, 40), (30, 30),
                                             (3000, 40), (1537, 8), (1024, 512)])
     def test_matches_sign_normalized_householder_q(self, monkeypatch, rows, cols):
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
         rng = np.random.default_rng(rows + cols)
         Q = _haar_columns(rng, rows, cols)
         drawn = np.random.default_rng(rows + cols)
@@ -160,13 +164,13 @@ class TestHaarColumns:
         assert measured_condition(p.A) == pytest.approx(1e4, rel=1e-10)
 
     def test_condition_is_the_one_requested_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)  # eight blocks of 512 rows
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)  # eight blocks of 512 rows
         p = generate_synthetic(4096, 32, condition=1e4, coherence="incoherent", seed=2)
         assert measured_condition(p.A) == pytest.approx(1e4, rel=1e-10)
 
     def test_second_pass_orthogonalizes_an_ill_conditioned_g(self, monkeypatch):
         # one CholeskyQR pass leaves Q^T Q - I near cond(G)^2 u, here 7e-8
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
         rng = np.random.default_rng(7)
         X = (haar(rng, 3000, 40) * np.geomspace(1.0, 1e-5, 40)) @ haar(rng, 40, 40).T
 
@@ -186,9 +190,9 @@ class TestHaarColumns:
     @pytest.mark.parametrize("failing", [None, 1, 2])
     def test_failed_cholesky_falls_back_to_householder(self, monkeypatch, failing):
         # the first Cholesky fails on G, the second on G R1^-1
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
         calls, fallbacks = [], []
-        cholesky, householder_q = harness.cholesky, harness._householder_q
+        cholesky, householder_q = core.cholesky, harness._householder_q
 
         def flaky(gram, **kwargs):
             calls.append(1)
@@ -196,7 +200,7 @@ class TestHaarColumns:
                 raise harness.LinAlgError("not positive definite")
             return cholesky(gram, **kwargs)
 
-        monkeypatch.setattr(harness, "cholesky", flaky)
+        monkeypatch.setattr(core, "cholesky", flaky)
         monkeypatch.setattr(harness, "_householder_q", lambda G: fallbacks.append(1) or householder_q(G))
         Q = _haar_columns(np.random.default_rng(5), 2048, 16)
         ref = haar(np.random.default_rng(5), 2048, 16)
@@ -442,6 +446,16 @@ class TestRunExperiment:
         records = run_experiment(quick_config(methods=("blendenpik",), lsqr_tol=1e-30, trials=1))
         assert len(records) == 1
         assert records[0].error.startswith("ConvergenceError")
+
+    def test_blendenpik_is_solve_blendenpik(self):
+        # the table's factor and solve steps run solve_blendenpik's helper
+        config = quick_config(source=ProblemSource(rows=3000, cols=12, condition=1e4),
+                              methods=("blendenpik",), sketch_kinds=("count",), m_values=(48,),
+                              lsqr_tol=1e-10)
+        problem = harness._build_problem(config)
+        x, _ = harness._run_pipeline(problem, config, "blendenpik", "count", 48, 9)
+        op = make_sketch(SketchSpec(kind="count", m=48, M=3000, seed=9))
+        assert x.tobytes() == solve_blendenpik(problem, op, lsqr_tol=1e-10).tobytes()
 
     def test_relative_accuracy_nonnegative(self):
         cfg = quick_config(methods=("cls", "pcls", "rpc", "blendenpik"), trials=2)

@@ -435,6 +435,15 @@ class TestBlendenpik:
         op = make_sketch(SketchSpec(kind="count", m=120, M=20_000, seed=53))
         return problem.A, problem.b, blendenpik_preconditioner(op.apply(problem.A))
 
+    @staticmethod
+    def outcome(solve, *args):
+        """x's bytes, or the bytes of a ConvergenceError's best iterate and
+        its diagnostics."""
+        try:
+            return solve(*args).tobytes()
+        except ConvergenceError as exc:
+            return exc.last_iterate.tobytes(), exc.diagnostics
+
     def test_stops_at_the_first_iterate_that_meets_tol(self, monkeypatch):
         """The j-th LSQR iterate minimizes ||A x - b|| over the span of the
         first j passes' z = R^-1 v; rebuilt that way, the first iterate whose
@@ -544,10 +553,12 @@ class TestBlendenpik:
         assert iters_prec < iters_raw
 
     def test_iteration_cap_raises_with_best_iterate(self):
+        # tol 1e-17 is under the direct solve's floor (1e-15 here), so the
+        # solve falls back to LSQR, which meets its cap
         problem, _ = planted_problem(np.random.default_rng(17), 300, 15, condition=1e6)
         op = make_sketch(SketchSpec(kind="gaussian", m=60, M=300, seed=18))
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_blendenpik(problem, op, lsqr_tol=1e-14, max_iter=1)
+            solve_blendenpik(problem, op, lsqr_tol=1e-17, max_iter=1)
         assert excinfo.value.last_iterate is not None
 
     def test_singular_preconditioner_raises(self):
@@ -639,7 +650,75 @@ class TestBlendenpik:
         )
         assert c1 and c2 and it1 == it2
         assert x1.tobytes() == x2.tobytes()
-        assert solve_blendenpik(problem, op, lsqr_tol=1e-10).tobytes() == x1.tobytes()
+        x3, x4 = (solve_blendenpik(problem, op, lsqr_tol=1e-10) for _ in range(2))
+        assert x3.tobytes() == x4.tobytes()
+
+    def test_two_passes_over_a_after_the_sketch(self, monkeypatch):
+        """On an incoherent instance the solve reads A twice after the
+        sketch: one Gram pass and one gradient check, and no LSQR pass."""
+        problem, _ = planted_problem(np.random.default_rng(52), 20_000, 30, condition=1e4)
+        op = make_sketch(SketchSpec(kind="count", m=120, M=20_000, seed=53))
+        zs, checks = self.record_passes(monkeypatch)
+        inner, grams = solvers._times, []
+        monkeypatch.setattr(solvers, "_times", lambda *a, **k: grams.append(1) or inner(*a, **k))
+        x = solve_blendenpik(problem, op, lsqr_tol=1e-10)
+        assert (len(grams), len(checks), len(zs)) == (1, 1, 0)
+        assert_array_equal(checks[0][0], x)
+        assert relative_gradient(problem.A, problem.b, x) <= 1e-10
+
+    @pytest.mark.parametrize("cause", ["gate", "tol"])
+    def test_fallback_is_lsqr_bit_for_bit(self, monkeypatch, cause):
+        """Where the Gram of A R_s^-1 fails its gate, or refinement stalls
+        above a tol under the direct solve's floor, the solve is LSQR with
+        R_s from x = 0: the same x, or the same ConvergenceError."""
+        problem, _ = planted_problem(np.random.default_rng(60), 2000, 10, condition=1e4)
+        A, b = problem.A, problem.b
+        op = make_sketch(SketchSpec(kind="count", m=40, M=2000, seed=61))
+        R_s = blendenpik_preconditioner(op.apply(A))
+        tol = 1e-10 if cause == "gate" else 1e-17
+        want = self.outcome(solvers._converged_lsqr, A, b, R_s, tol, 40)
+        dpocon, calls = solvers.dpocon, []
+        if cause == "gate":  # the preconditioner's gate passes, G's fails
+            monkeypatch.setattr(solvers, "dpocon", lambda c, anorm: (
+                calls.append(1) or (dpocon(c, anorm) if len(calls) == 1 else (0.0, 0))))
+        _, checks = self.record_passes(monkeypatch)
+        assert self.outcome(solve_blendenpik, problem, op, tol, 40) == want
+        assert len(calls) == (2 if cause == "gate" else 0)
+        # checks of the direct path's x before LSQR's first, A^T b at x = 0:
+        # none where the gate fails, at least one where refinement stalls
+        direct = next(i for i, (x, _, _) in enumerate(checks) if not x.any())
+        assert direct == 0 if cause == "gate" else direct >= 1
+
+    @pytest.mark.parametrize("coherence", ["incoherent", "coherent"])
+    @pytest.mark.parametrize("kind", ["gaussian", "ros", "count"])
+    def test_gradient_meets_tol_up_to_cond_1e11(self, monkeypatch, kind, coherence):
+        """m = 4N. On incoherent instances the direct solve meets tol with no
+        LSQR; on coherent ones a count sketch may need it."""
+        inner, lsqr = solvers._converged_lsqr, []
+        monkeypatch.setattr(solvers, "_converged_lsqr", lambda *a: lsqr.append(1) or inner(*a))
+        for condition in (1e4, 1e8, 1e11):
+            problem = generate_synthetic(4000, 20, condition, coherence, seed=62)
+            op = make_sketch(SketchSpec(kind=kind, m=80, M=4000, seed=63))
+            x = solve_blendenpik(problem, op, lsqr_tol=1e-10)
+            assert relative_gradient(problem.A, problem.b, x) <= 1e-10, condition
+        if coherence == "incoherent":
+            assert lsqr == []
+
+    def test_solve_makes_no_m_by_n_temporary(self):
+        """Q = A R_s^-1 lives one block per half (1 MiB each here, 0.04 of
+        A), so the peak stays far below one copy of A."""
+        M, N = 65_536, 50
+        rng = np.random.default_rng(64)
+        problem = LSProblem(A=rng.standard_normal((M, N)), b=rng.standard_normal(M))
+        op = make_sketch(SketchSpec(kind="count", m=4 * N, M=M, seed=65))
+        tracemalloc.start()
+        try:
+            x = solve_blendenpik(problem, op, lsqr_tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert relative_gradient(problem.A, problem.b, x) <= 1e-10
+        assert peak < 0.25 * 8 * M * N
 
     def test_layouts_give_the_same_solve(self, monkeypatch):
         """C, F and row-strided A, read-only like b, in 64-row blocks: the
@@ -661,6 +740,27 @@ class TestBlendenpik:
         for x, iters, converged in runs.values():
             assert converged and iters == iters_c
             assert np.linalg.norm(x - x_c) <= 1e-12 * np.linalg.norm(x_c)
+
+    def test_layouts_give_the_same_direct_solve(self, monkeypatch):
+        """C, F and row-strided A, read-only like b, in 512-row blocks for
+        the Gram pass and 64-row blocks for the check: the direct solve
+        meets tol on each with no LSQR, never writing A or b, and the x
+        agree to their forward error."""
+        problem, _ = planted_problem(np.random.default_rng(66), 3000, 12, condition=10.0)
+        op = make_sketch(SketchSpec(kind="count", m=48, M=3000, seed=67))
+        b = problem.b.copy()
+        b.flags.writeable = False
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 64 * 8 * 12)
+        monkeypatch.setattr(solvers, "_PASS_ROWS", 1)
+        monkeypatch.setattr(solvers, "_converged_lsqr", None)
+        xs = {
+            name: solve_blendenpik(LSProblem(A=A, b=b), op, lsqr_tol=1e-12)
+            for name, A in layouts(problem.A).items()
+        }
+        for name, x in xs.items():
+            assert relative_gradient(problem.A, b, x) <= 1e-12, name
+            assert np.linalg.norm(x - xs["C"]) <= 1e-12 * np.linalg.norm(xs["C"]), name
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_lsqr_copies_no_block_of_a(self, order):
